@@ -189,14 +189,9 @@ func (c *Cache) Access(addr uint64) bool {
 	return c.touch(addr / LineBytes)
 }
 
-// AccessLine is Access for a pre-shifted line address (addr/64).
-func (c *Cache) AccessLine(line uint64) bool { return c.touch(line) }
-
 // touch performs lookup+fill+replacement bookkeeping for one line — the
-// hottest loop in the simulator. LRU sets are MRU-ordered: a hit shifts the
-// preceding ways down and reinserts at the head; a miss evicts the tail
-// (which is an invalid way whenever the set is not full, since untouched
-// zeros sink to the tail and Invalidate moves them there).
+// hottest loop in the simulator. LRU sets go through lruPromote, the one LRU
+// update rule (the working-set sweep uses it too).
 // The set/tag computation is locate(line, true) spelled out inline: the
 // segment fast path (same 4GB region as the previous access) and the tag
 // arithmetic stay in this frame, keeping the per-access call count at zero
@@ -222,19 +217,7 @@ func (c *Cache) touch(line uint64) bool {
 	base := set * c.cfg.Assoc
 	ways := c.tags[base : base+c.cfg.Assoc]
 	if c.plruBits == nil { // LRU
-		if ways[0] == tag {
-			return true
-		}
-		for w := 1; w < len(ways); w++ {
-			if ways[w] == tag {
-				copy(ways[1:w+1], ways[:w])
-				ways[0] = tag
-				return true
-			}
-		}
-		copy(ways[1:], ways)
-		ways[0] = tag
-		return false
+		return lruPromote(ways, tag) < len(ways)
 	}
 	for w, t := range ways {
 		if t == tag {
@@ -244,6 +227,28 @@ func (c *Cache) touch(line uint64) bool {
 	}
 	c.fillPLRU(set, ways, tag)
 	return false
+}
+
+// lruPromote is the LRU update rule for one MRU-ordered set: it moves tag to
+// the head, shifting the ways it passes down by one as it scans, and
+// reports the way tag was found in — len(ways) on a miss, which has then
+// evicted the tail (an invalid way whenever the set is not full, since
+// untouched zeros sink to the tail and Invalidate moves them there).
+func lruPromote(ways []uint32, tag uint32) int {
+	prev := ways[0]
+	if prev == tag {
+		return 0
+	}
+	ways[0] = tag
+	for w := 1; w < len(ways); w++ {
+		cur := ways[w]
+		ways[w] = prev
+		if cur == tag {
+			return w
+		}
+		prev = cur
+	}
+	return len(ways)
 }
 
 // Install fills a line without reporting hit/miss (the prefetch path). If
@@ -373,12 +378,4 @@ func (c *Cache) Flush() {
 			c.plruBits[i] = 0
 		}
 	}
-}
-
-// setIndex maps a line address to its set.
-func (c *Cache) setIndex(line uint64) int {
-	if c.pow2 {
-		return int(line & c.setMask)
-	}
-	return int(line % uint64(c.sets))
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkAccessHit measures the warm-hit fast path.
 func BenchmarkAccessHit(b *testing.B) {
@@ -34,4 +37,32 @@ func BenchmarkWorkingSetSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Access(uint64(i*64) % (32 << 20))
 	}
+}
+
+// BenchmarkWorkingSetSimMixed measures the sweep on a seeded profile-like
+// mix — about 75% hot or reused lines, 25% streaming lines — where MRU
+// pruning drops most accesses after the smallest sizes. BenchmarkWorkingSetSim
+// above is the streaming-only worst case, which pruning cannot help.
+func BenchmarkWorkingSetSimMixed(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	trace := make([]uint64, 1<<16)
+	var stream uint64
+	for i := range trace {
+		switch r := rng.Intn(4); r {
+		case 0: // streaming through 32MB
+			stream = (stream + LineBytes) % (32 << 20)
+			trace[i] = heapBase + stream
+		case 1: // reused heap lines within 256KB
+			trace[i] = heapBase + (64 << 20) + uint64(rng.Intn(4096))*LineBytes
+		default: // hot stack lines
+			trace[i] = stackBase + uint64(rng.Intn(64))*8
+		}
+	}
+	w := NewWorkingSetSim(64 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Access(trace[i&(len(trace)-1)])
+	}
+	b.StopTimer()
+	w.Hits()
 }

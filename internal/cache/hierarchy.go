@@ -115,12 +115,29 @@ func (h *Hierarchy) FlushPrivate() {
 // access trace and counts hits in each, exactly the measurement Ditto makes
 // with Valgrind: H(2^i) in Eq. 1/Eq. 2. Sizes below 1MB use 8-way caches,
 // sizes at or above 1MB use 16-way, matching §4.4.4.
+//
+// Accesses are batched: Access only records the line, and a full batch (or
+// Hits) sweeps it through the caches one size at a time, smallest first. A
+// line that is already the MRU way of its set at one size is dropped from
+// the batch there and counted as a hit at that size and every larger one.
+// That is exact: each step up the chain doubles the sets at equal ways or
+// the ways at equal sets, so with bit-selection indexing the lines mapping
+// to a larger cache's set are a subset of those mapping to the smaller
+// cache's set. The line last touched in the small set was therefore also
+// last touched in the large one, where it is already MRU and touching it
+// again changes nothing.
 type WorkingSetSim struct {
 	sizes  []int
 	caches []*Cache
 	hits   []uint64
 	total  uint64
+
+	n     int             // lines pending in batch
+	batch [wsBatch]uint64 // line addresses not yet swept
 }
+
+// wsBatch is the number of accesses WorkingSetSim gathers per sweep.
+const wsBatch = 4096
 
 // NewWorkingSetSim builds simulators for sizes 64B, 128B, … up to maxBytes
 // (rounded up to a power of two).
@@ -155,22 +172,74 @@ func NewWorkingSetSim(maxBytes int) *WorkingSetSim {
 	return w
 }
 
-// Access feeds one byte address to every simulated size.
+// Access records one byte address for every simulated size.
+//
+// ditto:noalloc
 func (w *WorkingSetSim) Access(addr uint64) {
-	line := addr / LineBytes
+	w.batch[w.n] = addr / LineBytes
+	w.n++
 	w.total++
-	for i, c := range w.caches {
-		if c.AccessLine(line) {
-			w.hits[i]++
-		}
+	if w.n == len(w.batch) {
+		w.flush()
 	}
+}
+
+// flush sweeps the pending batch through every size, smallest first,
+// pruning lines that hit the MRU way (see WorkingSetSim).
+//
+// ditto:noalloc
+func (w *WorkingSetSim) flush() {
+	lines := w.batch[:w.n]
+	var pruned uint64 // lines dropped so far: hits at every remaining size
+	for i, c := range w.caches {
+		kept, hits := c.sweepLRU(lines)
+		w.hits[i] += pruned + hits
+		pruned += uint64(len(lines) - kept)
+		lines = lines[:kept]
+	}
+	w.n = 0
+}
+
+// sweepLRU runs a batch of line addresses through c in order and counts the
+// hits. It compacts lines in place to the ones a larger working-set cache
+// still has to see, those that did not hit the MRU way, and returns how
+// many remain.
+// c must be a power-of-two LRU cache, as every working-set cache is.
+//
+// ditto:noalloc
+func (c *Cache) sweepLRU(lines []uint64) (kept int, hits uint64) {
+	tags, assoc := c.tags, c.cfg.Assoc
+	mask, bits := c.setMask, c.setBits
+	lastHigh, seg := c.lastHigh, c.lastSeg
+	for _, line := range lines {
+		if high := line >> segShift; high != lastHigh {
+			seg, lastHigh = c.segSlow(high), high
+		}
+		low := line & (1<<segShift - 1)
+		tag := seg<<(segShift-bits) + uint32(low>>bits) + 1
+		base := int(low&mask) * assoc
+		w := lruPromote(tags[base:base+assoc], tag)
+		if w < assoc {
+			hits++
+		}
+		if w == 0 {
+			continue
+		}
+		lines[kept] = line
+		kept++
+	}
+	return kept, hits
 }
 
 // Sizes returns the simulated cache sizes in bytes, ascending.
 func (w *WorkingSetSim) Sizes() []int { return w.sizes }
 
-// Hits returns hit counts parallel to Sizes.
-func (w *WorkingSetSim) Hits() []uint64 { return w.hits }
+// Hits returns hit counts parallel to Sizes, first sweeping any pending
+// accesses.
+func (w *WorkingSetSim) Hits() []uint64 {
+	w.flush()
+	return w.hits
+}
 
 // Total returns the number of accesses observed.
 func (w *WorkingSetSim) Total() uint64 { return w.total }
