@@ -120,15 +120,8 @@ func probeCapacity(c appCase, win Windows, seed int64, sampled bool) float64 {
 	if win.Measure < probeWin.Measure {
 		probeWin = win
 	}
-	env := NewEnv(platform.A(), platform.WithCoreCount(8))
-	if sampled {
-		env.EnableSampling(seed)
-	}
-	a := c.build(env.Server)
-	a.Start()
-	res := Measure(env, a, Load{Conns: 32, Seed: seed}, probeWin)
-	env.Shutdown()
-	return res.Throughput
+	return measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)},
+		c.build, Load{Conns: 32, Seed: seed}, probeWin, 0, sampled).Throughput
 }
 
 // LoadLevel names one point of an app's low/medium/high load sweep.
@@ -251,12 +244,7 @@ func RunFig5(w io.Writer, opt Options) Fig5Result {
 			for _, v := range fig5Variants {
 				v := v
 				p.Add(runner.Key("fig5", "social", lv.Name, v), func(cw io.Writer) (any, error) {
-					var d *SNEnv
-					if v == "actual" {
-						d = NewOriginalSN(platform.A(), nodes, 8, opt.Seed+5, opt.IntraParallel)
-					} else {
-						d = NewSynthSN(snClone, platform.A(), nodes, 8, opt.Seed+6, opt.IntraParallel)
-					}
+					d := deploySN(v, snClone, platform.A(), nodes, 8, opt.Seed+5, opt.IntraParallel)
 					if opt.Sampled {
 						d.Env.EnableSampling(lv.Load.Seed)
 					}

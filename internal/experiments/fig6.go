@@ -52,12 +52,7 @@ func RunFig6(w io.Writer, opt Options, qpsLevels []float64) Fig6Result {
 		},
 		func(qps float64, v string, cw io.Writer) (any, error) {
 			load := Load{QPS: qps, Conns: 16, Mix: SNMix(), Seed: opt.Seed}
-			var d *SNEnv
-			if v == "actual" {
-				d = NewOriginalSN(platform.A(), nodes, 8, opt.Seed+11, opt.IntraParallel)
-			} else {
-				d = NewSynthSN(clone, platform.A(), nodes, 8, opt.Seed+12, opt.IntraParallel)
-			}
+			d := deploySN(v, clone, platform.A(), nodes, 8, opt.Seed+11, opt.IntraParallel)
 			if opt.Sampled {
 				d.Env.EnableSampling(load.Seed)
 			}

@@ -122,12 +122,7 @@ func RunFig7(w io.Writer, opt Options) Fig7Result {
 			for _, v := range fig5Variants {
 				v := v
 				p.Add(runner.Key("fig7", "social", d.spec.Name, v), func(cw io.Writer) (any, error) {
-					var dep *SNEnv
-					if v == "actual" {
-						dep = NewOriginalSN(d.spec, d.nodes, d.cores, opt.Seed+53, opt.IntraParallel)
-					} else {
-						dep = NewSynthSN(snClone, d.spec, d.nodes, d.cores, opt.Seed+54, opt.IntraParallel)
-					}
+					dep := deploySN(v, snClone, d.spec, d.nodes, d.cores, opt.Seed+53, opt.IntraParallel)
 					if opt.Sampled {
 						dep.Env.EnableSampling(snLoad.Seed)
 					}

@@ -103,12 +103,7 @@ func RunFig8(w io.Writer, opt Options) Fig8Result {
 		for _, v := range fig5Variants {
 			v := v
 			p.Add(runner.Key("fig8", "social", v), func(cw io.Writer) (any, error) {
-				var d *SNEnv
-				if v == "actual" {
-					d = NewOriginalSN(platform.A(), nodes, 8, opt.Seed+47, opt.IntraParallel)
-				} else {
-					d = NewSynthSN(snClone, platform.A(), nodes, 8, opt.Seed+48, opt.IntraParallel)
-				}
+				d := deploySN(v, snClone, platform.A(), nodes, 8, opt.Seed+47, opt.IntraParallel)
 				if opt.Sampled {
 					d.Env.EnableSampling(snLoad.Seed)
 				}

@@ -6,7 +6,6 @@ import (
 
 	"ditto/internal/app"
 	"ditto/internal/fault"
-	"ditto/internal/loadgen"
 	"ditto/internal/platform"
 	"ditto/internal/runner"
 	"ditto/internal/sim"
@@ -132,20 +131,10 @@ func linkSeed(seed int64, parts ...string) uint64 {
 func measureSNFault(d *SNEnv, load Load, win Windows, sc figFScenario, seed uint64) FigFPoint {
 	d.SetResilience(figFPolicy())
 	fabric := fault.Interpose(d.Env.Cluster, d.Machines, seed)
-	plane := fault.NewPlane(d.Env.Eng, fabric, d.Tiers)
+	plane := fault.NewPlane(fabric, d.Tiers)
 	plane.Schedule(fault.Scenario{Name: sc.name, Events: sc.build(d, win)})
 
-	g := loadgen.New(loadgen.Config{
-		Name: "wrk2", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.RunFor(win.Warmup)
-	g.Reset()
-	start := d.Env.Now()
-	d.Env.RunFor(win.Measure)
-	dur := (d.Env.Now() - start).Seconds()
-
+	g, _, dur := d.measure(load, win, nil)
 	lat := g.Latency()
 	received, failed := g.Received(), g.Failed()
 	pt := FigFPoint{
@@ -193,12 +182,7 @@ func RunFigF(w io.Writer, opt Options, qps float64) FigFResult {
 		},
 		func(sc figFScenario, v string, cw io.Writer) (any, error) {
 			load := Load{QPS: qps, Conns: 16, Mix: SNMix(), Seed: opt.Seed}
-			var d *SNEnv
-			if v == "actual" {
-				d = NewOriginalSN(platform.A(), nodes, 8, opt.Seed+11, opt.IntraParallel)
-			} else {
-				d = NewSynthSN(clone, platform.A(), nodes, 8, opt.Seed+12, opt.IntraParallel)
-			}
+			d := deploySN(v, clone, platform.A(), nodes, 8, opt.Seed+11, opt.IntraParallel)
 			pt := measureSNFault(d, load, opt.Windows, sc, linkSeed(opt.Seed, sc.name, v))
 			pt.Variant = v
 			d.Env.Shutdown()

@@ -5,14 +5,10 @@ import (
 
 	"ditto/internal/app"
 	"ditto/internal/app/dittofs"
-	"ditto/internal/core"
 	"ditto/internal/dtrace"
-	"ditto/internal/kernel"
 	"ditto/internal/loadgen"
 	"ditto/internal/platform"
-	"ditto/internal/profile"
 	"ditto/internal/runner"
-	"ditto/internal/synth"
 )
 
 // FigSPoint is one (backend, variant) measurement of the storage-family
@@ -58,28 +54,23 @@ func fsLoad(qps float64, seed int64) Load {
 	return Load{QPS: qps, Conns: 12, Mix: loadgen.FSMix(), Seed: seed}
 }
 
-// FSEnv is a deployed DittoFS (original or synthetic) with its client.
-// Machines lists the server-side machines (adapter first, blob tier second
-// when present) so storage-side counters can be aggregated over exactly the
-// machines that serve requests.
-type FSEnv struct {
-	Env       *Env
-	Machines  []*platform.Machine
-	Frontend  *platform.Machine
-	Port      int
-	TierProc  func(name string) *kernel.Proc
-	Order     []string
-	Collector *dtrace.Collector
-	Service   *dittofs.Service // nil for the synthetic deployment
-}
+// FSEnv is a deployed DittoFS, original or synthetic. Machines lists the
+// server-side machines (adapter first, blob tier second when present) so
+// storage-side counters can be aggregated over exactly the machines that
+// serve requests. It is an alias of Deployment, kept because the benchmark
+// under perfbench/ names it.
+type FSEnv = Deployment
+
+// fsClient names the DittoFS load generator.
+const fsClient = "fs-client"
 
 // NewOriginalFS deploys the original DittoFS with the given content backend:
 // the adapter on the environment's server machine and, for the blob backend,
-// the blob-store tier on its own machine (remote disk attribution). intra is
-// the intra-cell parallelism, as in NewOriginalSN.
+// the blob-store tier on its own machine (remote disk attribution). Its
+// tiers are the adapter and, for blob, the blob store, in that order. intra
+// is the intra-cell parallelism, as in NewOriginalSN.
 func NewOriginalFS(backend string, spec platform.Spec, seed int64, intra int) *FSEnv {
-	env := NewEnvW(intra, spec, platform.WithCoreCount(8))
-	machines := []*platform.Machine{env.Server}
+	env, machines := newCluster(intra, spec, 8)
 	var blobM *platform.Machine
 	if backend == "blob" {
 		blobM = env.AddMachine("blob", spec, platform.WithCoreCount(8))
@@ -97,47 +88,29 @@ func NewOriginalFS(backend string, spec platform.Spec, seed int64, intra int) *F
 	}
 	svc.Start()
 	return &FSEnv{Env: env, Machines: machines, Frontend: env.Server, Port: 9300,
-		TierProc: func(name string) *kernel.Proc {
-			if t := tiers[name]; t != nil {
-				return t.Proc()
-			}
-			return nil
-		},
-		Order:     order,
-		Collector: collector,
-		Service:   svc,
-	}
+		Tiers: tiers, Order: order, Collector: collector, client: fsClient}
 }
 
 // MeasureFS drives the deployment with the FS mix and returns the
 // storage-side fidelity point measured over the post-warmup window.
 func MeasureFS(d *FSEnv, load Load, win Windows) FigSPoint {
-	g := loadgen.New(loadgen.Config{
-		Name: "fs-client", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.RunFor(win.Warmup)
-	g.Reset()
-
 	type kcSnap struct {
 		read, write  uint64
 		hits, misses uint64
 		fsyncs       uint64
 	}
 	before := make([]kcSnap, len(d.Machines))
-	for i, m := range d.Machines {
-		c := m.Disk.Counters()
-		h, ms := m.Kernel.PageCacheStats()
-		before[i] = kcSnap{read: c.ReadBytes, write: c.WriteBytes,
-			hits: h, misses: ms, fsyncs: m.Kernel.Fsyncs()}
-		// Fsync latency is measured over the window only: reset the
-		// recorder at the warmup edge.
-		m.Kernel.FsyncLatency().Reset()
-	}
-	start := d.Env.Now()
-	d.Env.RunFor(win.Measure)
-	dur := (d.Env.Now() - start).Seconds()
+	g, _, dur := d.measure(load, win, func() {
+		for i, m := range d.Machines {
+			c := m.Disk.Counters()
+			h, ms := m.Kernel.PageCacheStats()
+			before[i] = kcSnap{read: c.ReadBytes, write: c.WriteBytes,
+				hits: h, misses: ms, fsyncs: m.Kernel.Fsyncs()}
+			// Fsync latency is measured over the window only: reset the
+			// recorder at the warmup edge.
+			m.Kernel.FsyncLatency().Reset()
+		}
+	})
 
 	lat := g.Latency()
 	pt := FigSPoint{
@@ -172,86 +145,24 @@ func MeasureFS(d *FSEnv, load Load, win Windows) FigSPoint {
 
 // CloneFS profiles a running original DittoFS deployment under load and
 // generates the synthetic specs for every tier — the §4 pipeline applied to
-// the storage family. The learned topology carries the adapter→blob edge
-// for the blob backend; the profiled syscall plans carry the WAL appends,
-// fsyncs, and content-store traffic.
+// the storage family (see clone). The learned topology carries the
+// adapter→blob edge for the blob backend; the profiled syscall plans carry
+// the WAL appends, fsyncs, and content-store traffic. The profiling run uses
+// the classic single-queue engine.
 func CloneFS(backend string, spec platform.Spec, load Load, win Windows, seed int64) *SNClone {
-	d := NewOriginalFS(backend, spec, seed, 0)
-	profilers := map[string]*profile.Profiler{}
-	for _, name := range d.Order {
-		p := profile.NewProfiler(name)
-		p.MaxDataWS = 64 << 20
-		p.MaxInstrWS = 256 << 10
-		p.Attach(d.TierProc(name))
-		profilers[name] = p
-	}
-	g := loadgen.New(loadgen.Config{
-		Name: "fs-client", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.RunFor(win.Warmup + win.Measure)
-
-	spans := d.Collector.Spans()
-	plans := core.LearnTopology(spans)
-	spanCount := map[string]int{}
-	for _, s := range spans {
-		spanCount[s.Service]++
-	}
-
-	clone := &SNClone{
-		Profiles: map[string]*profile.AppProfile{},
-		Specs:    map[string]*core.SynthSpec{},
-		Plans:    plans,
-		Order:    append([]string(nil), d.Order...),
-		Root:     dittofs.AdapterName,
-	}
-	for i, name := range clone.Order {
-		p := profilers[name]
-		if n := spanCount[name]; n > 0 {
-			p.SetRequests(n)
-		}
-		prof := p.Finish()
-		clone.Profiles[name] = prof
-		clone.Specs[name] = core.Generate(prof, seed+int64(i)*31)
-		if plans[name] == nil {
-			plans[name] = &core.TierPlan{Service: name, Calls: map[int][]app.Call{}}
-		}
-	}
-	d.Env.Shutdown()
-	return clone
+	return clone(NewOriginalFS(backend, spec, seed, 0), dittofs.AdapterName, load, win, seed)
 }
 
-// NewSynthFS deploys the synthetic DittoFS from a clone: the adapter stand-in
-// on the server machine and, when the clone has a blob tier, its stand-in on
-// a second machine — the same placement as the original.
+// NewSynthFS deploys the synthetic DittoFS from a clone (see deploySynth):
+// the adapter stand-in on the server machine and, when the clone has a blob
+// tier, its stand-in on a second machine — the same placement as the
+// original, with tiers keyed by the original tier names.
 func NewSynthFS(clone *SNClone, spec platform.Spec, seed int64, intra int) *FSEnv {
-	env := NewEnvW(intra, spec, platform.WithCoreCount(8))
-	machines := []*platform.Machine{env.Server}
+	env, machines := newCluster(intra, spec, 8)
 	if len(clone.Order) > 1 {
 		machines = append(machines, env.AddMachine("sblob", spec, platform.WithCoreCount(8)))
 	}
-	reg := &synthRegistry{tiers: map[string]*app.Tier{}}
-	procs := map[string]*kernel.Proc{}
-	collector := dtrace.NewCollector(1)
-	for i, name := range clone.Order {
-		m := machines[i%len(machines)]
-		t := synth.NewTier(m, 9500+i, clone.Specs[name], clone.Plans[name], reg, seed+int64(i))
-		t.Collector = collector
-		reg.tiers[name] = t
-		procs[name] = t.Proc()
-	}
-	// Start in construction order: spawn order is part of determinism.
-	for _, name := range clone.Order {
-		reg.tiers[name].Start()
-	}
-	fe := reg.tiers[clone.Root]
-	return &FSEnv{Env: env, Machines: machines,
-		Frontend: fe.Machine(), Port: fe.Cfg.Port,
-		TierProc:  func(name string) *kernel.Proc { return procs[name] },
-		Order:     append([]string(nil), clone.Order...),
-		Collector: collector,
-	}
+	return deploySynth(env, machines, clone, seed, fsClient)
 }
 
 // RunFigS measures clone fidelity for the storage-bound family: each DittoFS

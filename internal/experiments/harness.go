@@ -21,7 +21,8 @@ import (
 )
 
 // Env is one self-contained simulation environment: a server machine and a
-// client machine joined by a cluster fabric. In classic mode every machine
+// client machine joined by a cluster fabric, plus any server machines a
+// multi-tier Deployment adds (AddMachine). In classic mode every machine
 // shares one engine (Eng); in sharded mode each machine owns a shard of a
 // World and Eng is nil — drive the environment through the Env methods
 // (RunFor/RunUntil/Now), which work in both modes.
@@ -110,8 +111,8 @@ func (e *Env) EnableSampling(seed int64) {
 }
 
 // ArmSampling arms every held sampler; a no-op when sampling is not
-// enabled. Measure and MeasureSN call it after the warmup window, so
-// modeled execution begins exactly at the measurement boundary.
+// enabled. Deployment.measure calls it after the warmup window, so modeled
+// execution begins exactly at the measurement boundary.
 func (e *Env) ArmSampling() {
 	for _, s := range e.samplers {
 		s.Arm()
@@ -309,45 +310,19 @@ func measureApp(spec platform.Spec, opts []platform.Option, build AppBuilder, lo
 	return r
 }
 
+// appDeployment is the single-tier deployment of app a on env.Server.
+func appDeployment(env *Env, a app.App) *Deployment {
+	return &Deployment{Env: env, Frontend: a.Machine(), Port: a.Port(), client: "lg"}
+}
+
 // Measure drives app a (already started on env.Server) with the given load
 // and returns a Result measured over the post-warmup window.
 func Measure(env *Env, a app.App, load Load, win Windows) Result {
-	g := loadgen.New(loadgen.Config{
-		Name: "lg", Machine: env.Client, Target: a.Machine().Kernel,
-		Port: a.Port(), Conns: load.Conns, QPS: load.QPS,
-		Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	env.WarmupFor(win.Warmup)
-	env.ArmSampling()
-	g.Reset()
-	before := snap(a.Proc())
-	start := env.Now()
-	env.RunFor(win.Measure)
-	dur := (env.Now() - start).Seconds()
-	after := snap(a.Proc())
-
-	ctr := deltaCounters(after.ctr, before.ctr)
-	lat := g.Latency()
-	res := Result{
-		Counters:   ctr,
-		Metrics:    metricsOf(ctr),
-		AvgMs:      lat.Mean(),
-		P50Ms:      lat.Percentile(50),
-		P95Ms:      lat.Percentile(95),
-		P99Ms:      lat.Percentile(99),
-		Throughput: float64(g.Received()) / dur,
-		NetBW:      float64(after.tx-before.tx+after.rx-before.rx) / dur,
-		DiskBW:     float64(after.disk-before.disk+after.diskW-before.diskW) / dur,
-	}
-	if ctr.Cycles > 0 {
-		res.TopDown = [4]float64{
-			ctr.Retiring / ctr.Cycles,
-			ctr.Frontend / ctr.Cycles,
-			ctr.BadSpec / ctr.Cycles,
-			ctr.Backend / ctr.Cycles,
-		}
-	}
+	var before snapshot
+	g, _, dur := appDeployment(env, a).measure(load, win, func() { before = snap(a.Proc()) })
+	res := procResult(before, snap(a.Proc()), dur)
+	setLatency(&res, g.Latency())
+	res.Throughput = float64(g.Received()) / dur
 	return res
 }
 
@@ -396,15 +371,7 @@ func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled
 		p.MaxDataWS = maxDataWS
 	}
 	p.Attach(a.Proc())
-	g := loadgen.New(loadgen.Config{
-		Name: "lg", Machine: env.Client, Target: env.Server.Kernel,
-		Port: a.Port(), Conns: load.Conns, QPS: load.QPS, Mix: load.Mix,
-		Seed: load.Seed,
-	})
-	g.Start()
-	env.WarmupFor(win.Warmup)
-	env.ArmSampling()
-	env.RunFor(win.Measure)
+	appDeployment(env, a).measure(load, win, nil)
 	prof := p.Finish()
 	env.Shutdown()
 	return prof
@@ -414,12 +381,8 @@ func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled
 // Platform A under the reference load — the fine-tuner's measurement arm.
 func SynthRunner(load Load, win Windows) core.Runner {
 	return func(spec *core.SynthSpec) profile.TargetMetrics {
-		env := NewEnv(platform.A(), platform.WithCoreCount(8))
-		s := synth.NewServer(env.Server, 9100, spec, load.Seed+99)
-		s.Start()
-		res := Measure(env, s, load, win)
-		env.Shutdown()
-		return res.Metrics
+		build := func(m *platform.Machine) app.App { return synth.NewServer(m, 9100, spec, load.Seed+99) }
+		return measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)}, build, load, win, 0, false).Metrics
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"ditto/internal/loadgen"
 	"ditto/internal/platform"
 	"ditto/internal/sim"
 	"ditto/internal/stats"
@@ -33,17 +32,14 @@ func RunPhaseScan(w io.Writer, opt Options, build AppBuilder, load Load, windows
 	env := NewEnv(platform.A(), platform.WithCoreCount(8))
 	a := build(env.Server)
 	a.Start()
-	g := loadgen.New(loadgen.Config{Name: "lg", Machine: env.Client,
-		Target: env.Server.Kernel, Port: a.Port(), Conns: load.Conns,
-		QPS: load.QPS, Mix: load.Mix, Seed: load.Seed})
-	g.Start()
-	env.Eng.RunFor(opt.Windows.Warmup)
+	appDeployment(env, a).startLoad(load)
+	env.RunFor(opt.Windows.Warmup)
 
 	var scan PhaseScan
 	var agg stats.Running
 	prev := a.Proc().Counters
 	for i := 0; i < windows; i++ {
-		env.Eng.RunFor(opt.Windows.Measure / sim.Time(windows))
+		env.RunFor(opt.Windows.Measure / sim.Time(windows))
 		now := a.Proc().Counters
 		d := deltaCounters(now, prev)
 		prev = now

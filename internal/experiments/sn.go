@@ -2,14 +2,9 @@ package experiments
 
 import (
 	"ditto/internal/app"
-	"ditto/internal/core"
-	"ditto/internal/dtrace"
-	"ditto/internal/kernel"
 	"ditto/internal/loadgen"
 	"ditto/internal/platform"
-	"ditto/internal/profile"
 	"ditto/internal/stats"
-	"ditto/internal/synth"
 )
 
 // SNMix is the paper-style request mix for the Social Network workload.
@@ -21,41 +16,29 @@ func SNMix() []loadgen.MixEntry {
 	}
 }
 
-// SNEnv is a deployed Social Network (original or synthetic) with its
-// client machine.
-type SNEnv struct {
-	Env      *Env
-	Machines []*platform.Machine
-	Frontend *platform.Machine
-	Port     int
-	TierProc func(name string) *kernel.Proc
-	// Tiers maps logical (original) tier names to the deployed tiers — the
-	// synthetic deployment is keyed by the original name it stands in for,
-	// so one fault scenario addresses both deployments identically.
-	Tiers     map[string]*app.Tier
-	Order     []string
-	Collector *dtrace.Collector
-	original  *app.SocialNetwork
-}
+// SNEnv is a deployed Social Network, original or synthetic. It is an
+// alias of Deployment, kept because the benchmark under perfbench/ names it.
+type SNEnv = Deployment
 
-// SetResilience installs one RPC resilience policy on every tier.
-func (d *SNEnv) SetResilience(r *app.Resilience) {
-	for _, t := range d.Tiers {
-		t.Cfg.Resilience = r
+// snClient names the Social Network's load generator.
+const snClient = "wrk2"
+
+// snNodeNames names the machines after the first of an n-node deployment.
+func snNodeNames(prefix string, nodes int) []string {
+	var names []string
+	for i := 1; i < nodes; i++ {
+		names = append(names, prefix+string(rune('0'+i)))
 	}
+	return names
 }
 
 // NewOriginalSN deploys the original Social Network over nodes machines of
-// the given spec (round-robin placement, one replica per tier). intra sets
+// the given spec (round-robin placement in tier order, one replica per
+// tier), with the frontend on the first machine. intra sets
 // the environment's intra-cell parallelism (see NewEnvW); pass 0 for the
 // classic single-queue engine.
 func NewOriginalSN(spec platform.Spec, nodes int, coresPer int, seed int64, intra int) *SNEnv {
-	env := NewEnvW(intra, spec, platform.WithCoreCount(coresPer))
-	machines := []*platform.Machine{env.Server}
-	for i := 1; i < nodes; i++ {
-		machines = append(machines, env.AddMachine("node"+string(rune('0'+i)), spec,
-			platform.WithCoreCount(coresPer)))
-	}
+	env, machines := newCluster(intra, spec, coresPer, snNodeNames("node", nodes)...)
 	i := 0
 	sn := app.NewSocialNetwork(func(string) *platform.Machine {
 		m := machines[i%len(machines)]
@@ -63,65 +46,30 @@ func NewOriginalSN(spec platform.Spec, nodes int, coresPer int, seed int64, intr
 		return m
 	}, 9000, seed)
 	sn.Start()
-	fe := sn.Frontend.Machine()
-	return &SNEnv{Env: env, Machines: machines, Frontend: fe, Port: sn.Port(),
-		TierProc: func(name string) *kernel.Proc {
-			if t := sn.Tier(name); t != nil {
-				return t.Proc()
-			}
-			return nil
-		},
-		Tiers:     sn.Tiers,
-		Order:     append([]string(nil), sn.Order...),
-		Collector: sn.Collector,
-		original:  sn,
-	}
+	return &SNEnv{Env: env, Machines: machines, Frontend: sn.Frontend.Machine(), Port: sn.Port(),
+		Tiers: sn.Tiers, Order: append([]string(nil), sn.Order...), Collector: sn.Collector, client: snClient}
 }
 
 // MeasureSN drives the deployment and returns end-to-end results plus the
 // per-tier counter deltas for the named tiers.
 func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[string]Result) {
-	g := loadgen.New(loadgen.Config{
-		Name: "wrk2", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.WarmupFor(win.Warmup)
-	d.Env.ArmSampling()
-	g.Reset()
 	before := map[string]snapshot{}
-	for _, tn := range tiers {
-		if p := d.TierProc(tn); p != nil {
-			before[tn] = snap(p)
+	g, start, dur := d.measure(load, win, func() {
+		for _, tn := range tiers {
+			if p := d.TierProc(tn); p != nil {
+				before[tn] = snap(p)
+			}
 		}
-	}
-	start := d.Env.Now()
-	d.Env.RunFor(win.Measure)
-	dur := (d.Env.Now() - start).Seconds()
-
-	lat := g.Latency()
-	e2e := Result{
-		AvgMs: lat.Mean(), P50Ms: lat.Percentile(50),
-		P95Ms: lat.Percentile(95), P99Ms: lat.Percentile(99),
-		Throughput: float64(g.Received()) / dur,
-	}
+	})
+	e2e := Result{Throughput: float64(g.Received()) / dur}
+	setLatency(&e2e, g.Latency())
 	perTier := map[string]Result{}
 	for _, tn := range tiers {
 		p := d.TierProc(tn)
 		if p == nil {
 			continue
 		}
-		b := before[tn]
-		a := snap(p)
-		ctr := deltaCounters(a.ctr, b.ctr)
-		r := Result{Counters: ctr, Metrics: metricsOf(ctr),
-			NetBW:  float64(a.tx-b.tx+a.rx-b.rx) / dur,
-			DiskBW: float64(a.disk-b.disk+a.diskW-b.diskW) / dur,
-		}
-		if ctr.Cycles > 0 {
-			r.TopDown = [4]float64{ctr.Retiring / ctr.Cycles, ctr.Frontend / ctr.Cycles,
-				ctr.BadSpec / ctr.Cycles, ctr.Backend / ctr.Cycles}
-		}
+		r := procResult(before[tn], snap(p), dur)
 		// Per-tier service latency from the measurement window's spans —
 		// the per-tier latency row of Fig. 5.
 		if d.Collector != nil {
@@ -132,117 +80,35 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 					lat.Add(sp.Duration().Millis())
 				}
 			}
-			r.AvgMs = lat.Mean()
-			r.P50Ms = lat.Percentile(50)
-			r.P95Ms = lat.Percentile(95)
-			r.P99Ms = lat.Percentile(99)
+			setLatency(&r, &lat)
 		}
 		perTier[tn] = r
 	}
 	return e2e, perTier
 }
 
-// SNClone is the full set of artifacts Ditto extracts from one Social
-// Network profiling run: per-tier profiles and specs plus the learned
-// topology.
-type SNClone struct {
-	Profiles map[string]*profile.AppProfile
-	Specs    map[string]*core.SynthSpec
-	Plans    map[string]*core.TierPlan
-	Order    []string
-	Root     string
-}
-
-// CloneSN profiles every tier of a running original deployment under load
-// and generates the synthetic specs (§4.2: topology from traces; per-tier
-// skeleton and body from the tier profilers).
+// CloneSN profiles every tier of a running original Social Network under
+// load and generates the synthetic specs (see clone). The profiling run
+// uses the classic single-queue engine.
 func CloneSN(spec platform.Spec, nodes, coresPer int, load Load, win Windows, seed int64) *SNClone {
-	d := NewOriginalSN(spec, nodes, coresPer, seed, 0)
-	profilers := map[string]*profile.Profiler{}
-	for _, name := range d.original.Order {
-		p := profile.NewProfiler(name)
-		p.MaxDataWS = 64 << 20
-		p.MaxInstrWS = 256 << 10
-		p.Attach(d.original.Tier(name).Proc())
-		profilers[name] = p
-	}
-	g := loadgen.New(loadgen.Config{
-		Name: "wrk2", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.RunFor(win.Warmup + win.Measure)
-
-	spans := d.original.Collector.Spans()
-	plans := core.LearnTopology(spans)
-	spanCount := map[string]int{}
-	for _, s := range spans {
-		spanCount[s.Service]++
-	}
-
-	clone := &SNClone{
-		Profiles: map[string]*profile.AppProfile{},
-		Specs:    map[string]*core.SynthSpec{},
-		Plans:    plans,
-		Order:    append([]string(nil), d.original.Order...),
-		Root:     app.FrontendName,
-	}
-	for i, name := range clone.Order {
-		p := profilers[name]
-		if n := spanCount[name]; n > 0 {
-			p.SetRequests(n)
-		}
-		prof := p.Finish()
-		clone.Profiles[name] = prof
-		clone.Specs[name] = core.Generate(prof, seed+int64(i)*31)
-		if plans[name] == nil {
-			plans[name] = &core.TierPlan{Service: name, Calls: map[int][]app.Call{}}
-		}
-	}
-	d.Env.Shutdown()
-	return clone
-}
-
-// synthRegistry resolves original tier names to the synthetic tiers.
-type synthRegistry struct {
-	tiers map[string]*app.Tier
-}
-
-func (r *synthRegistry) Lookup(name string) (*kernel.Kernel, int) {
-	t := r.tiers[name]
-	return t.Machine().Kernel, t.Cfg.Port
+	return clone(NewOriginalSN(spec, nodes, coresPer, seed, 0), app.FrontendName, load, win, seed)
 }
 
 // NewSynthSN deploys a fully synthetic Social Network from a clone: every
-// tier replaced by its Ditto-generated counterpart (Fig. 6). intra is the
-// intra-cell parallelism, as in NewOriginalSN.
+// tier replaced by its Ditto-generated counterpart (Fig. 6), placed
+// round-robin over nodes machines like the original and keyed by the
+// original tier names (see deploySynth). intra is the intra-cell
+// parallelism, as in NewOriginalSN.
 func NewSynthSN(clone *SNClone, spec platform.Spec, nodes, coresPer int, seed int64, intra int) *SNEnv {
-	env := NewEnvW(intra, spec, platform.WithCoreCount(coresPer))
-	machines := []*platform.Machine{env.Server}
-	for i := 1; i < nodes; i++ {
-		machines = append(machines, env.AddMachine("snode"+string(rune('0'+i)), spec,
-			platform.WithCoreCount(coresPer)))
+	env, machines := newCluster(intra, spec, coresPer, snNodeNames("snode", nodes)...)
+	return deploySynth(env, machines, clone, seed, snClient)
+}
+
+// deploySN deploys variant v of the Social Network: the original
+// ("actual") at seed, or the clone's synthetic tiers at seed+1.
+func deploySN(v string, clone *SNClone, spec platform.Spec, nodes, coresPer int, seed int64, intra int) *SNEnv {
+	if v == "actual" {
+		return NewOriginalSN(spec, nodes, coresPer, seed, intra)
 	}
-	reg := &synthRegistry{tiers: map[string]*app.Tier{}}
-	procs := map[string]*kernel.Proc{}
-	collector := dtrace.NewCollector(1)
-	for i, name := range clone.Order {
-		m := machines[i%len(machines)]
-		t := synth.NewTier(m, 9500+i, clone.Specs[name], clone.Plans[name], reg, seed+int64(i))
-		t.Collector = collector
-		reg.tiers[name] = t
-		procs[name] = t.Proc()
-	}
-	// Start in construction order: spawn order is part of determinism.
-	for _, name := range clone.Order {
-		reg.tiers[name].Start()
-	}
-	fe := reg.tiers[clone.Root]
-	return &SNEnv{Env: env, Machines: machines,
-		Frontend: fe.Machine(), Port: fe.Cfg.Port,
-		TierProc:  func(name string) *kernel.Proc { return procs[name] },
-		Tiers:     reg.tiers,
-		Order:     append([]string(nil), clone.Order...),
-		Collector: collector,
-	}
+	return NewSynthSN(clone, spec, nodes, coresPer, seed+1, intra)
 }

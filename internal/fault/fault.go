@@ -121,17 +121,16 @@ type Scenario struct {
 
 // Plane binds scenarios to one cell's fabric and tier set.
 type Plane struct {
-	eng    *sim.Engine // fallback timeline for tierless link events; may be nil
 	fabric *Fabric
 	tiers  map[string]*app.Tier
 }
 
 // NewPlane builds a plane. fabric may be nil when the scenario uses no link
-// faults; tiers maps logical names to deployed tiers. eng is only a fallback
-// timeline (it may be nil under sharded execution): every fault action is
-// scheduled on the engine of the machine whose state it mutates.
-func NewPlane(eng *sim.Engine, fabric *Fabric, tiers map[string]*app.Tier) *Plane {
-	return &Plane{eng: eng, fabric: fabric, tiers: tiers}
+// faults; tiers maps logical names to deployed tiers. Every fault action is
+// scheduled on the engine of the machine whose state it mutates, so the
+// plane works unchanged under sharded execution.
+func NewPlane(fabric *Fabric, tiers map[string]*app.Tier) *Plane {
+	return &Plane{fabric: fabric, tiers: tiers}
 }
 
 // Schedule registers every event of the scenario. Each event is decomposed

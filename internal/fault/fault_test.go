@@ -58,7 +58,7 @@ func newFixture(seed int64) *fixture {
 	child.Start()
 	parent.Start()
 	fabric := Interpose(cl, []*platform.Machine{m1, m2}, uint64(seed)|1)
-	plane := NewPlane(eng, fabric, map[string]*app.Tier{"parent": parent, "child": child})
+	plane := NewPlane(fabric, map[string]*app.Tier{"parent": parent, "child": child})
 	return &fixture{eng: eng, cl: cl, m1: m1, m2: m2, parent: parent,
 		child: child, fabric: fabric, plane: plane, collector: collector}
 }
