@@ -31,7 +31,7 @@ func main() {
 			"regexp over cell names (e.g. 'fig5/redis/.*'); experiment names (table1|fig5|...|phases) and 'all' also work")
 		parallel = flag.Int("parallel", 0, "cell worker pool size (0 = GOMAXPROCS); any width yields identical output")
 		intra    = flag.Int("intra-parallel", 0,
-			"per-cell shard workers: each simulated machine gets its own event-queue shard advanced by up to this many threads (0 = classic single-queue engine; widths >= 1 are byte-identical to each other)")
+			"per-cell shard workers: each simulated machine gets its own event-queue shard advanced by up to this many threads (0 = one worker, same as 1; every width is byte-identical to every other)")
 		progress  = flag.Bool("progress", false, "report per-cell completions on stderr")
 		tune      = flag.Int("tune", 3, "fine-tuning iterations per clone")
 		ms        = flag.Int("ms", 160, "measurement window (simulated ms)")

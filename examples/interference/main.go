@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("%-12s %-10s %8s %8s %8s\n", "scenario", "variant", "IPC", "LLCmiss", "p99 ms")
 	for _, sc := range scenarios {
 		for _, variant := range []string{"actual", "synthetic"} {
-			env := experiments.NewEnv(platform.A(), platform.WithCoreCount(6))
+			env := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(6))
 			var srv app.App
 			if variant == "actual" {
 				srv = build(env.Server)

@@ -18,7 +18,7 @@ func main() {
 	win := experiments.Windows{Warmup: 15 * sim.Millisecond, Measure: 100 * sim.Millisecond}
 
 	// Find capacity at the full configuration, then offer 45% of it.
-	envP := experiments.NewEnv(platform.A(), platform.WithCoreCount(16), platform.WithFreqGHz(2.1))
+	envP := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(16), platform.WithFreqGHz(2.1))
 	a := build(envP.Server)
 	a.Start()
 	capRes := experiments.Measure(envP, a, experiments.Load{Conns: 32, Seed: 3}, win)
@@ -34,7 +34,7 @@ func main() {
 		for _, f := range []float64{1.1, 1.7, 2.1} {
 			var p99 [2]float64
 			for i, variant := range []string{"actual", "synthetic"} {
-				env := experiments.NewEnv(platform.A(),
+				env := experiments.NewEnvW(1, platform.A(),
 					platform.WithCoreCount(cores), platform.WithFreqGHz(f))
 				var srv app.App
 				if variant == "actual" {

@@ -47,13 +47,13 @@ func main() {
 	}
 
 	fmt.Println("== measuring original vs synthetic under identical load ==")
-	envO := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	envO := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	orig := build(envO.Server)
 	orig.Start()
 	ro := experiments.Measure(envO, orig, load, win)
 	envO.Shutdown()
 
-	envS := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	envS := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	clone := synth.NewServer(envS.Server, 6379, spec, 43)
 	clone.Start()
 	rs := experiments.Measure(envS, clone, load, win)

@@ -13,7 +13,7 @@ import (
 func drive(t *testing.T, build func(m *platform.Machine) App, conns, n int) (float64, *kernel.Proc) {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	server := platform.NewMachine(eng, "srv", platform.A(), platform.WithCoreCount(8))
 	client := platform.NewMachine(eng, "cli", platform.A(), platform.WithCoreCount(8))
 	cl.Add(server)
@@ -118,7 +118,7 @@ func TestRedisSingleThreaded(t *testing.T) {
 
 func TestSocialNetworkEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	machines := []*platform.Machine{
 		platform.NewMachine(eng, "node0", platform.A(), platform.WithCoreCount(8)),
 		platform.NewMachine(eng, "node1", platform.A(), platform.WithCoreCount(8)),
@@ -198,7 +198,7 @@ func TestKVWritePaths(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			cl := platform.NewCluster(eng, 100*sim.Microsecond)
+			cl := platform.NewCluster(100 * sim.Microsecond)
 			srv := platform.NewMachine(eng, "srv", platform.A(), platform.WithCoreCount(4))
 			cli := platform.NewMachine(eng, "cli", platform.A(), platform.WithCoreCount(4))
 			cl.Add(srv)

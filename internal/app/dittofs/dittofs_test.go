@@ -43,7 +43,7 @@ func runFS(t *testing.T, backend string, seed int64) fsRun {
 func runFSFor(t *testing.T, backend string, seed int64, window sim.Time) fsRun {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	spec := platform.A()
 	spec.PageCacheMB = 16
 	srv := platform.NewMachine(eng, "srv", spec, platform.WithCoreCount(4))
@@ -198,7 +198,7 @@ func TestWALSurvivesAdapterCrash(t *testing.T) {
 		t.Skip("drives a full write-only deployment; skipped in -short")
 	}
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	spec := platform.A()
 	spec.PageCacheMB = 16
 	srv := platform.NewMachine(eng, "srv", spec, platform.WithCoreCount(4))

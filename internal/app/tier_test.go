@@ -28,7 +28,7 @@ func (r mapRegistry) Lookup(name string) (*kernel.Kernel, int) {
 func newTwoTier(t *testing.T, prob float64) *twoTierFixture {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	m := platform.NewMachine(eng, "m", platform.A(), platform.WithCoreCount(8))
 	cl.Add(m)
 	collector := dtrace.NewCollector(1)
@@ -130,7 +130,7 @@ func TestTierAlwaysEdgeAndSpanNesting(t *testing.T) {
 
 func TestSocialNetworkTopologyIsDAG(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	m := platform.NewMachine(eng, "m", platform.A(), platform.WithCoreCount(16))
 	cl.Add(m)
 	sn := NewSocialNetwork(func(string) *platform.Machine { return m }, 9000, 3)

@@ -59,9 +59,9 @@ type Options struct {
 	// IntraParallel sets per-cell (intra-simulation) parallelism: each
 	// machine of a cell's cluster gets its own event-queue shard, advanced
 	// by up to IntraParallel workers under conservative synchronization
-	// (see sim.World). 0 keeps the classic single-queue engine and its
-	// exact event order; any width ≥ 1 is byte-identical to any other —
-	// width only changes how many OS threads advance shards. When both
+	// (see sim.World). 0 means one worker, the same as 1; every width is
+	// byte-identical to every other — width only changes how many OS
+	// threads advance shards. When both
 	// Parallel and IntraParallel exceed 1 the cell pool is divided by
 	// IntraParallel so the total thread budget stays roughly constant.
 	IntraParallel int

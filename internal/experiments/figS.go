@@ -148,9 +148,9 @@ func MeasureFS(d *FSEnv, load Load, win Windows) FigSPoint {
 // the storage family (see clone). The learned topology carries the
 // adapter→blob edge for the blob backend; the profiled syscall plans carry
 // the WAL appends, fsyncs, and content-store traffic. The profiling run uses
-// the classic single-queue engine.
+// one shard worker.
 func CloneFS(backend string, spec platform.Spec, load Load, win Windows, seed int64) *SNClone {
-	return clone(NewOriginalFS(backend, spec, seed, 0), dittofs.AdapterName, load, win, seed)
+	return clone(NewOriginalFS(backend, spec, seed, 1), dittofs.AdapterName, load, win, seed)
 }
 
 // NewSynthFS deploys the synthetic DittoFS from a clone (see deploySynth):

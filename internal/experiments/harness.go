@@ -22,13 +22,11 @@ import (
 
 // Env is one self-contained simulation environment: a server machine and a
 // client machine joined by a cluster fabric, plus any server machines a
-// multi-tier Deployment adds (AddMachine). In classic mode every machine
-// shares one engine (Eng); in sharded mode each machine owns a shard of a
-// World and Eng is nil — drive the environment through the Env methods
-// (RunFor/RunUntil/Now), which work in both modes.
+// multi-tier Deployment adds (AddMachine). Every machine owns an
+// event-queue shard of one World; drive the environment through the Env
+// methods (RunFor/RunUntil/Now).
 type Env struct {
-	Eng     *sim.Engine // classic single-queue engine; nil when sharded
-	World   *sim.World  // sharded conservative-parallel engine; nil when classic
+	World   *sim.World // conservative-parallel engine, one shard per machine
 	Cluster *platform.Cluster
 	Server  *platform.Machine
 	Client  *platform.Machine
@@ -37,50 +35,27 @@ type Env struct {
 	samplers []*steady.Sampler // installed by EnableSampling, held until ArmSampling
 }
 
-// NewEnv builds a classic single-engine environment on the given server
-// platform. Client runs on a generously sized Platform A box so it never
-// bottlenecks.
-func NewEnv(spec platform.Spec, serverOpts ...platform.Option) *Env {
-	return NewEnvW(0, spec, serverOpts...)
-}
-
-// NewEnvW builds an environment with the given intra-cell parallelism.
-// intra ≤ 0 keeps the classic single-queue engine (today's exact event
-// order); intra ≥ 1 gives every machine its own event-queue shard of a
-// World advanced by up to intra workers, with the cluster's minimum one-way
-// delay as the conservative lookahead. Results are byte-identical at every
-// intra width ≥ 1 — width only changes how many OS threads advance shards.
+// NewEnvW builds an environment on the given server platform with the given
+// intra-cell parallelism: every machine gets its own event-queue shard of a
+// World advanced by up to intra workers (intra ≤ 1 means one worker), with
+// the cluster's minimum one-way delay as the conservative lookahead. Results
+// are byte-identical at every width — width only changes how many OS
+// threads advance shards. The client runs on a generously sized Platform A
+// box so it never bottlenecks.
 func NewEnvW(intra int, spec platform.Spec, serverOpts ...platform.Option) *Env {
 	const rtt = 100 * sim.Microsecond
-	e := &Env{}
-	var eng *sim.Engine
-	if intra > 0 {
-		e.World = sim.NewWorld(rtt/2, intra)
-	} else {
-		eng = sim.NewEngine()
-		e.Eng = eng
-	}
-	e.Cluster = platform.NewCluster(eng, rtt)
-	e.Server = platform.NewMachine(e.newShard(), "server", spec, serverOpts...)
-	e.Client = platform.NewMachine(e.newShard(), "client", platform.A(), platform.WithCoreCount(16))
+	e := &Env{World: sim.NewWorld(rtt/2, intra), Cluster: platform.NewCluster(rtt)}
+	e.Server = platform.NewMachine(e.World.NewShard(), "server", spec, serverOpts...)
+	e.Client = platform.NewMachine(e.World.NewShard(), "client", platform.A(), platform.WithCoreCount(16))
 	e.Cluster.Add(e.Server)
 	e.Cluster.Add(e.Client)
 	return e
 }
 
-// newShard returns the engine for the next machine: a fresh shard in
-// sharded mode, the shared engine otherwise.
-func (e *Env) newShard() *sim.Engine {
-	if e.World != nil {
-		return e.World.NewShard()
-	}
-	return e.Eng
-}
-
 // AddMachine attaches another server machine to the environment (multi-node
 // microservice deployments).
 func (e *Env) AddMachine(name string, spec platform.Spec, opts ...platform.Option) *platform.Machine {
-	m := platform.NewMachine(e.newShard(), name, spec, opts...)
+	m := platform.NewMachine(e.World.NewShard(), name, spec, opts...)
 	e.Cluster.Add(m)
 	e.extra = append(e.extra, m)
 	return m
@@ -161,32 +136,15 @@ func (e *Env) WarmupFor(budget sim.Time) {
 }
 
 // RunFor advances the environment's virtual time by d.
-func (e *Env) RunFor(d sim.Time) {
-	if e.World != nil {
-		e.World.RunFor(d)
-		return
-	}
-	e.Eng.RunFor(d)
-}
+func (e *Env) RunFor(d sim.Time) { e.World.RunFor(d) }
 
 // RunUntil advances the environment's virtual time to exactly t.
-func (e *Env) RunUntil(t sim.Time) {
-	if e.World != nil {
-		e.World.RunUntil(t)
-		return
-	}
-	e.Eng.RunUntil(t)
-}
+func (e *Env) RunUntil(t sim.Time) { e.World.RunUntil(t) }
 
 // Now returns the environment's virtual time.
-func (e *Env) Now() sim.Time {
-	if e.World != nil {
-		return e.World.Now()
-	}
-	return e.Eng.Now()
-}
+func (e *Env) Now() sim.Time { return e.World.Now() }
 
-// Shutdown stops every kernel and drains the engine(s), releasing thread
+// Shutdown stops every kernel and drains the engine, releasing thread
 // goroutines.
 func (e *Env) Shutdown() {
 	e.Server.Kernel.Stop()
@@ -194,11 +152,7 @@ func (e *Env) Shutdown() {
 	for _, m := range e.extra {
 		m.Kernel.Stop()
 	}
-	if e.World != nil {
-		e.World.Run()
-		return
-	}
-	e.Eng.Run()
+	e.World.Run()
 }
 
 // Load describes one measurement's load configuration.
@@ -290,7 +244,7 @@ func metricsOf(c cpu.Counters) profile.TargetMetrics {
 }
 
 // measureApp is the standard single-tier measurement cell body: build an
-// environment on spec (sharded when intra ≥ 1), start the app build
+// environment on spec with intra shard workers, start the app build
 // returns, measure it under load, and tear the environment down. Every
 // state it touches is freshly constructed, which is what makes cells safe
 // to run concurrently.
@@ -360,7 +314,7 @@ func ProfileRunSampled(build AppBuilder, load Load, win Windows, maxDataWS int) 
 // detailed windows that execute after arming preserve every profiled rate
 // while the modeled stretch skips work the profile has already seen.
 func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled bool) *profile.AppProfile {
-	env := NewEnv(platform.A(), platform.WithCoreCount(8))
+	env := NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	if sampled {
 		env.EnableSampling(load.Seed)
 	}
@@ -382,7 +336,7 @@ func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled
 func SynthRunner(load Load, win Windows) core.Runner {
 	return func(spec *core.SynthSpec) profile.TargetMetrics {
 		build := func(m *platform.Machine) app.App { return synth.NewServer(m, 9100, spec, load.Seed+99) }
-		return measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)}, build, load, win, 0, false).Metrics
+		return measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)}, build, load, win, 1, false).Metrics
 	}
 }
 

@@ -29,7 +29,7 @@ func RunPhaseScan(w io.Writer, opt Options, build AppBuilder, load Load, windows
 	if windows <= 0 {
 		windows = 10
 	}
-	env := NewEnv(platform.A(), platform.WithCoreCount(8))
+	env := NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	a := build(env.Server)
 	a.Start()
 	appDeployment(env, a).startLoad(load)

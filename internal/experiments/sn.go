@@ -35,8 +35,7 @@ func snNodeNames(prefix string, nodes int) []string {
 // NewOriginalSN deploys the original Social Network over nodes machines of
 // the given spec (round-robin placement in tier order, one replica per
 // tier), with the frontend on the first machine. intra sets
-// the environment's intra-cell parallelism (see NewEnvW); pass 0 for the
-// classic single-queue engine.
+// the environment's intra-cell parallelism (see NewEnvW).
 func NewOriginalSN(spec platform.Spec, nodes int, coresPer int, seed int64, intra int) *SNEnv {
 	env, machines := newCluster(intra, spec, coresPer, snNodeNames("node", nodes)...)
 	i := 0
@@ -89,9 +88,9 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 
 // CloneSN profiles every tier of a running original Social Network under
 // load and generates the synthetic specs (see clone). The profiling run
-// uses the classic single-queue engine.
+// uses one shard worker.
 func CloneSN(spec platform.Spec, nodes, coresPer int, load Load, win Windows, seed int64) *SNClone {
-	return clone(NewOriginalSN(spec, nodes, coresPer, seed, 0), app.FrontendName, load, win, seed)
+	return clone(NewOriginalSN(spec, nodes, coresPer, seed, 1), app.FrontendName, load, win, seed)
 }
 
 // NewSynthSN deploys a fully synthetic Social Network from a clone: every

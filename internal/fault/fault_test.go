@@ -32,7 +32,7 @@ func (r tierRegistry) Lookup(name string) (*kernel.Kernel, int) {
 
 func newFixture(seed int64) *fixture {
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	m1 := platform.NewMachine(eng, "m1", platform.A(), platform.WithCoreCount(4))
 	m2 := platform.NewMachine(eng, "m2", platform.A(), platform.WithCoreCount(4))
 	cl.Add(m1)
@@ -263,7 +263,7 @@ func TestScenarioDeterminism(t *testing.T) {
 
 func TestClientPathStaysFaultFree(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	a := platform.NewMachine(eng, "a", platform.A(), platform.WithCoreCount(2))
 	b := platform.NewMachine(eng, "b", platform.A(), platform.WithCoreCount(2))
 	c := platform.NewMachine(eng, "c", platform.A(), platform.WithCoreCount(2))

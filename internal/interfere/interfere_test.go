@@ -15,7 +15,7 @@ func TestLLCStressorEvictsVictimLines(t *testing.T) {
 	}
 	run := func(withStressor bool) float64 {
 		eng := sim.NewEngine()
-		cl := platform.NewCluster(eng, 100*sim.Microsecond)
+		cl := platform.NewCluster(100 * sim.Microsecond)
 		m := platform.NewMachine(eng, "m", platform.C()) // 8MB LLC, 4 cores
 		cl.Add(m)
 		if withStressor {
@@ -60,7 +60,7 @@ func TestLLCStressorEvictsVictimLines(t *testing.T) {
 
 func TestNetStressorDelaysVictimTraffic(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	a := platform.NewMachine(eng, "a", platform.C()) // 1Gbe NIC
 	b := platform.NewMachine(eng, "b", platform.C())
 	cl.Add(a)
@@ -99,7 +99,7 @@ func TestBurstFillAllocationFree(t *testing.T) {
 
 func TestCPUStressorOccupiesCores(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	m := platform.NewMachine(eng, "m", platform.C())
 	cl.Add(m)
 	p := StartCPUStressor(m, 2)

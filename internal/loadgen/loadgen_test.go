@@ -12,7 +12,7 @@ import (
 func setup(t *testing.T) (*sim.Engine, *platform.Machine, *platform.Machine, app.App) {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	srv := platform.NewMachine(eng, "srv", platform.A(), platform.WithCoreCount(8))
 	cli := platform.NewMachine(eng, "cli", platform.A(), platform.WithCoreCount(8))
 	cl.Add(srv)

@@ -222,15 +222,14 @@ func scaleBytes(bytes int, frac float64, assoc int) int {
 // Cluster connects machines with a uniform-RTT fabric and implements
 // kernel.Fabric.
 type Cluster struct {
-	Eng      *sim.Engine
 	RTT      sim.Time
 	machines []*Machine
 	byKernel map[*kernel.Kernel]*Machine
 }
 
 // NewCluster builds an empty cluster with the given inter-machine RTT.
-func NewCluster(eng *sim.Engine, rtt sim.Time) *Cluster {
-	return &Cluster{Eng: eng, RTT: rtt, byKernel: map[*kernel.Kernel]*Machine{}}
+func NewCluster(rtt sim.Time) *Cluster {
+	return &Cluster{RTT: rtt, byKernel: map[*kernel.Kernel]*Machine{}}
 }
 
 // Add registers a machine and wires its kernel into the fabric.

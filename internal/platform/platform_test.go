@@ -119,7 +119,7 @@ func TestPrivateCacheScaleHurts(t *testing.T) {
 
 func TestClusterPathsAndLoopback(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := NewCluster(eng, 100*sim.Microsecond)
+	cl := NewCluster(100 * sim.Microsecond)
 	m1 := NewMachine(eng, "m1", C())
 	m2 := NewMachine(eng, "m2", C())
 	cl.Add(m1)
@@ -139,7 +139,7 @@ func TestClusterPathsAndLoopback(t *testing.T) {
 
 func TestClusterEndToEndRPC(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := NewCluster(eng, 100*sim.Microsecond)
+	cl := NewCluster(100 * sim.Microsecond)
 	srv := NewMachine(eng, "srv", A(), WithCoreCount(2))
 	cli := NewMachine(eng, "cli", A(), WithCoreCount(2))
 	cl.Add(srv)

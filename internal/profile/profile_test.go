@@ -17,7 +17,7 @@ import (
 func profileApp(t *testing.T, build func(m *platform.Machine) app.App, conns int) *AppProfile {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	srv := platform.NewMachine(eng, "srv", platform.A(), platform.WithCoreCount(8))
 	cli := platform.NewMachine(eng, "cli", platform.A(), platform.WithCoreCount(8))
 	cl.Add(srv)

@@ -142,7 +142,7 @@ type Engine struct {
 	// stops allocating one *Event per schedule.
 	free []*Event
 	// id and world bind a shard engine to its World; both stay zero for a
-	// classic standalone engine.
+	// standalone engine.
 	id    int
 	world *World
 }

@@ -23,7 +23,7 @@ func TestCloneRevealsNoOriginalCodeOrData(t *testing.T) {
 		t.Skip("full-pipeline run; skipped in -short")
 	}
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	srv := platform.NewMachine(eng, "srv", platform.A(), platform.WithCoreCount(8))
 	cli := platform.NewMachine(eng, "cli", platform.A(), platform.WithCoreCount(8))
 	cl.Add(srv)

@@ -39,13 +39,13 @@ func TestPipelineClonesRedis(t *testing.T) {
 	}
 
 	// Measure original and synthetic under identical load on Platform A.
-	envO := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	envO := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	orig := build(envO.Server)
 	orig.Start()
 	resO := experiments.Measure(envO, orig, cloneLoad, win)
 	envO.Shutdown()
 
-	envS := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	envS := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	s := synth.NewServer(envS.Server, 9100, spec, 123)
 	s.Start()
 	resS := experiments.Measure(envS, s, cloneLoad, win)
@@ -86,13 +86,13 @@ func TestPipelineClonesMongoDBDiskBehaviour(t *testing.T) {
 		t.Fatalf("mongodb skeleton should be per-conn: %+v", spec.Skeleton)
 	}
 
-	envO := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	envO := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	orig := build(envO.Server)
 	orig.Start()
 	resO := experiments.Measure(envO, orig, cloneLoad, win)
 	envO.Shutdown()
 
-	envS := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	envS := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	s := synth.NewServer(envS.Server, 9100, spec, 124)
 	s.Start()
 	resS := experiments.Measure(envS, s, cloneLoad, win)

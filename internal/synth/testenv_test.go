@@ -20,7 +20,7 @@ type testEnv struct {
 func newTestEnv(t *testing.T) *testEnv {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := platform.NewCluster(eng, 100*sim.Microsecond)
+	cl := platform.NewCluster(100 * sim.Microsecond)
 	srv := platform.NewMachine(eng, "srv", platform.A(), platform.WithCoreCount(4))
 	cli := platform.NewMachine(eng, "cli", platform.A(), platform.WithCoreCount(4))
 	cl.Add(srv)

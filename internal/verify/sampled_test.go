@@ -59,7 +59,7 @@ func TestVerifierAcceptsSampledProfiles(t *testing.T) {
 // the figure_cell benchmark, where the PR's 1% acceptance budget applies.
 func nginxRun(t *testing.T, seed int64, sampled bool) SampledRun {
 	t.Helper()
-	env := experiments.NewEnv(platform.A(), platform.WithCoreCount(8))
+	env := experiments.NewEnvW(1, platform.A(), platform.WithCoreCount(8))
 	if sampled {
 		env.EnableSampling(seed)
 	}
