@@ -46,11 +46,13 @@ func figSRun(w io.Writer, o Options) any { return RunFigS(w, o, 0) }
 
 // determinismRow is one figure configuration whose bytes and results must
 // not depend on an execution axis. The first axis value is the reference;
-// its bytes are also pinned by testdata/<name>.golden, so a refactor that
+// its bytes are also pinned by testdata/<golden>.golden, so a refactor that
 // changes any simulated number fails here even when every axis value
-// changes the same way.
+// changes the same way. Rows that render the same figure configuration
+// along different axes share one golden.
 type determinismRow struct {
 	name      string
+	golden    string // golden file stem; empty means name
 	base      Options
 	fig       func(io.Writer, Options) any
 	set       func(*Options, int)
@@ -75,9 +77,10 @@ func determinismRows() []determinismRow {
 		// flushes buffered cell output in plan order, so pool width must be
 		// unobservable.
 		{name: "fig6-pool", base: quickOpt(3), fig: fig6Run, set: poolWidth, axis: []int{1, 8}, minPoints: 1},
-		// Shard workers of the sharded engine must be equally unobservable:
-		// width 1 executes every window serially and is the reference.
-		{name: "fig6-intra", base: quickOpt(3), fig: fig6Run, set: intraWidth, axis: []int{1, 2, 8}, minPoints: 1},
+		// Shard workers must be equally unobservable: width 1 executes
+		// every window serially and is the reference.
+		{name: "fig6-intra", golden: "fig6-pool", base: quickOpt(3), fig: fig6Run, set: intraWidth,
+			axis: []int{1, 2, 8}, minPoints: 1},
 		// Fault-plane events (crashes, partitions, seeded packet loss, CPU
 		// throttling) and the resilience layer's retries, hedges and
 		// breaker trips must replay identically at any pool width.
@@ -89,18 +92,19 @@ func determinismRows() []determinismRow {
 		// and page-cache state under shard workers.
 		{name: "figS-pool", base: quickOpt(3), fig: figSRun, set: poolWidth, axis: []int{1, 8},
 			minPoints: 6, check: checkFigS},
-		{name: "figS-intra", base: quickOpt(3), fig: figSRun, set: intraWidth, axis: []int{1, 8},
-			minPoints: 6, check: checkFigS},
+		{name: "figS-intra", golden: "figS-pool", base: quickOpt(3), fig: figSRun, set: intraWidth,
+			axis: []int{1, 8}, minPoints: 6, check: checkFigS},
 		// The fully executed figure cell at pool width 1 and 8.
 		{name: "fig8-pool", base: fig8Full, fig: fig8Run, set: poolWidth, axis: []int{1, 8}, minPoints: 1},
 		// The sampler is per-kernel state seeded from the cell, so both
 		// parallelism axes must stay unobservable under sampled execution.
 		{name: "fig8-sampled-pool", base: sampledCellOpt(), fig: fig8Run, set: poolWidth, axis: []int{1, 8}, minPoints: 1},
-		{name: "fig8-sampled-intra", base: sampledCellOpt(), fig: fig8Run, set: intraWidth, axis: []int{1, 2, 8}, minPoints: 1},
+		{name: "fig8-sampled-intra", golden: "fig8-sampled-pool", base: sampledCellOpt(), fig: fig8Run,
+			set: intraWidth, axis: []int{1, 2, 8}, minPoints: 1},
 		// Two runs at one seed are identical, and a different seed changes
 		// the rotation (guarding against a sampler that ignores its seed).
-		{name: "fig8-sampled-seed", base: sampledCellOpt(), fig: fig8Run, set: seedAxis, axis: []int{3, 3},
-			minPoints: 1, check: checkSeedMatters},
+		{name: "fig8-sampled-seed", golden: "fig8-sampled-pool", base: sampledCellOpt(), fig: fig8Run,
+			set: seedAxis, axis: []int{3, 3}, minPoints: 1, check: checkSeedMatters},
 	}
 }
 
@@ -182,7 +186,11 @@ func TestFigureDeterminism(t *testing.T) {
 						row.axis[0], v, ref, res)
 				}
 			}
-			checkGolden(t, row.name, refOut)
+			golden := row.golden
+			if golden == "" {
+				golden = row.name
+			}
+			checkGolden(t, golden, refOut)
 		})
 	}
 }
