@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -237,6 +238,48 @@ func TestFig7SingleAppAcrossPlatforms(t *testing.T) {
 		}
 	}
 	_ = platform.A
+}
+
+// TestFig7SocialTierLatency checks that the Social Network rows of Fig. 7
+// carry the per-tier span latencies MeasureSN returns.
+func TestFig7SocialTierLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-pipeline run; skipped in -short")
+	}
+	opt := fastOptions()
+	opt.IncludeSocial = true
+	opt.CellFilter = regexp.MustCompile(`^fig7/social/C/`)
+	res := RunFig7(io.Discard, opt)
+	if len(res.Rows) != 2*len(fig5SocialTiers) {
+		t.Fatalf("rows = %d, want 2 variants × %d tiers", len(res.Rows), len(fig5SocialTiers))
+	}
+	for _, r := range res.Rows {
+		if r.AvgMs <= 0 || r.P99Ms <= 0 {
+			t.Errorf("%s %s %s: avg=%v p99=%v, want both > 0", r.App, r.Platform, r.Variant, r.AvgMs, r.P99Ms)
+		}
+	}
+}
+
+// TestMeasureSNTierThroughput checks that MeasureSN reports each traced
+// tier's request rate over the measurement window, so per-request
+// quantities such as Fig. 5's network bytes per request have a denominator.
+func TestMeasureSNTierThroughput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-pipeline run; skipped in -short")
+	}
+	opt := fastOptions()
+	d := NewOriginalSN(platform.A(), 2, 8, opt.Seed, 1)
+	e2e, per := MeasureSN(d, Load{QPS: 400, Conns: 12, Mix: SNMix(), Seed: opt.Seed}, socialWindows(opt.Windows), fig5SocialTiers)
+	d.Env.Shutdown()
+	if e2e.Throughput <= 0 {
+		t.Fatalf("end-to-end throughput = %v", e2e.Throughput)
+	}
+	for _, tn := range fig5SocialTiers {
+		r, ok := per[tn]
+		if !ok || r.Throughput <= 0 {
+			t.Errorf("%s: throughput = %v, want > 0", tn, r.Throughput)
+		}
+	}
 }
 
 func TestPhaseScanNoRegularPhases(t *testing.T) {

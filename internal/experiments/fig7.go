@@ -97,9 +97,7 @@ func RunFig7(w io.Writer, opt Options) Fig7Result {
 				}
 				r := measureApp(plat, []platform.Option{platform.WithCoreCount(fig7CoreCount(plat))},
 					build, load, opt.Windows, opt.IntraParallel, opt.Sampled)
-				fr := Fig7Row{App: c.name, Platform: plat.Name, Variant: v,
-					Metrics: r.Metrics, NetBW: r.NetBW, DiskBW: r.DiskBW,
-					AvgMs: r.AvgMs, P99Ms: r.P99Ms}
+				fr := fig7Row(c.name, plat.Name, v, r)
 				emitFig7(cw, opt, fr)
 				return fr, nil
 			})
@@ -130,9 +128,7 @@ func RunFig7(w io.Writer, opt Options) Fig7Result {
 					dep.Env.Shutdown()
 					rows := make([]Fig7Row, 0, len(fig5SocialTiers))
 					for _, tn := range fig5SocialTiers {
-						r := per[tn]
-						fr := Fig7Row{App: tn, Platform: d.spec.Name, Variant: v,
-							Metrics: r.Metrics, NetBW: r.NetBW, DiskBW: r.DiskBW}
+						fr := fig7Row(tn, d.spec.Name, v, per[tn])
 						rows = append(rows, fr)
 						emitFig7(cw, opt, fr)
 					}
@@ -157,6 +153,11 @@ func RunFig7(w io.Writer, opt Options) Fig7Result {
 		}
 	}
 	return res
+}
+
+func fig7Row(name, plat, variant string, r Result) Fig7Row {
+	return Fig7Row{App: name, Platform: plat, Variant: variant, Metrics: r.Metrics,
+		NetBW: r.NetBW, DiskBW: r.DiskBW, AvgMs: r.AvgMs, P99Ms: r.P99Ms}
 }
 
 func emitFig7(w io.Writer, opt Options, fr Fig7Row) {

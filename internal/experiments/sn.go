@@ -49,8 +49,9 @@ func NewOriginalSN(spec platform.Spec, nodes int, coresPer int, seed int64, intr
 		Tiers: sn.Tiers, Order: append([]string(nil), sn.Order...), Collector: sn.Collector, client: snClient}
 }
 
-// MeasureSN drives the deployment and returns end-to-end results plus the
-// per-tier counter deltas for the named tiers.
+// MeasureSN drives the deployment and returns end-to-end results plus, for
+// each named tier, its counter deltas and — when the deployment is traced —
+// its latency and throughput over the window's spans.
 func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[string]Result) {
 	before := map[string]snapshot{}
 	g, start, dur := d.measure(load, win, func() {
@@ -69,8 +70,8 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 			continue
 		}
 		r := procResult(before[tn], snap(p), dur)
-		// Per-tier service latency from the measurement window's spans —
-		// the per-tier latency row of Fig. 5.
+		// Per-tier service latency and throughput from the measurement
+		// window's spans — the per-tier rows of Fig. 5 and Fig. 7.
 		if d.Collector != nil {
 			var lat stats.Recorder
 			for _, sp := range d.Collector.Spans() {
@@ -80,6 +81,7 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 				}
 			}
 			setLatency(&r, &lat)
+			r.Throughput = float64(lat.Count()) / dur
 		}
 		perTier[tn] = r
 	}
