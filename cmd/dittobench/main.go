@@ -32,13 +32,13 @@ func main() {
 		parallel = flag.Int("parallel", 0, "cell worker pool size (0 = GOMAXPROCS); any width yields identical output")
 		intra    = flag.Int("intra-parallel", 0,
 			"per-cell shard workers: each simulated machine gets its own event-queue shard advanced by up to this many threads (0 = one worker, same as 1; every width is byte-identical to every other)")
-		progress  = flag.Bool("progress", false, "report per-cell completions on stderr")
-		tune      = flag.Int("tune", 3, "fine-tuning iterations per clone")
-		ms        = flag.Int("ms", 160, "measurement window (simulated ms)")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		apps      = flag.String("apps", "", "comma-separated app filter for fig5/7/8")
-		quick   = flag.Bool("quick", false, "small windows, no tuning (smoke run)")
-		sampled = flag.Bool("sampled", false,
+		progress = flag.Bool("progress", false, "report per-cell completions on stderr")
+		tune     = flag.Int("tune", 3, "fine-tuning iterations per clone")
+		ms       = flag.Int("ms", 160, "measurement window (simulated ms)")
+		seed     = flag.Int64("seed", 1, "simulation seed")
+		apps     = flag.String("apps", "", "comma-separated app filter for fig5/7/8")
+		quick    = flag.Bool("quick", false, "small windows, no tuning (smoke run)")
+		sampled  = flag.Bool("sampled", false,
 			"sampled steady-state execution: once per-tier convergence is detected, a seeded rotating subset of requests still executes while the rest are modeled from the measured distribution (warmup, fault windows, and durability paths always execute fully)")
 		benchJSON = flag.String("bench-json", "",
 			"write engine and cell benchmarks plus a parallel speedup measurement as JSON to this file, then exit")

@@ -61,9 +61,9 @@ type Options struct {
 	// by up to IntraParallel workers under conservative synchronization
 	// (see sim.World). 0 means one worker, the same as 1; every width is
 	// byte-identical to every other — width only changes how many OS
-	// threads advance shards. When both
-	// Parallel and IntraParallel exceed 1 the cell pool is divided by
-	// IntraParallel so the total thread budget stays roughly constant.
+	// threads advance shards. When both Parallel and IntraParallel exceed
+	// 1 the cell pool is divided by IntraParallel so the total thread
+	// budget stays roughly constant.
 	IntraParallel int
 	// CellFilter restricts which plan cells run (nil = all). Prep cells a
 	// surviving cell depends on are retained automatically.
