@@ -18,28 +18,15 @@ import (
 	"ditto/internal/sim"
 )
 
-// BenchmarkEngineScheduleFire is the engine hot-path baseline: one
-// handle-returning After plus the Step that fires it. Every op heap-allocates
-// an Event.
+// BenchmarkEngineScheduleFire is the engine hot-path baseline: one After
+// plus the Step that fires it. Events live by value in the engine's heap, so
+// the steady state is allocation-free.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	eng := sim.NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.After(sim.Microsecond, func() {})
-		eng.Step()
-	}
-}
-
-// BenchmarkEngineScheduleFirePooled is the same loop on the handle-free
-// AfterFunc path: after the first op the Event comes from the engine's free
-// list, so the steady state is allocation-free.
-func BenchmarkEngineScheduleFirePooled(b *testing.B) {
-	eng := sim.NewEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.AfterFunc(sim.Microsecond, func() {})
 		eng.Step()
 	}
 }

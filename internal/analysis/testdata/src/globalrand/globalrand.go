@@ -8,8 +8,8 @@ import "math/rand"
 
 // Bad draws from the global stream twice.
 func Bad() float64 {
-	x := rand.Float64()  // want "global random stream"
-	n := rand.Intn(10)   // want "global random stream"
+	x := rand.Float64() // want "global random stream"
+	n := rand.Intn(10)  // want "global random stream"
 	return x + float64(n)
 }
 

@@ -7,13 +7,14 @@ import (
 
 // Resilience configures a tier's RPC survival policy: per-attempt timeouts,
 // retries with exponential backoff and deterministic jitter, request hedging,
-// a consecutive-failure circuit breaker, and queue-delay load shedding. A nil
-// policy selects the legacy blocking path (infinite Recv), byte-identical to
-// the pre-fault simulator. All randomness (jitter) comes from the tier's own
-// seeded stream, so degraded runs replay exactly.
+// a consecutive-failure circuit breaker, and queue-delay load shedding. The
+// zero value is the plain blocking call (infinite Recv): it draws no random
+// numbers and fails a call only when the reply itself reports a failure. All
+// randomness (jitter) comes from the tier's own seeded stream, so degraded
+// runs replay exactly.
 type Resilience struct {
 	// Timeout bounds each attempt: dial plus response wait. <= 0 disables
-	// timeouts (attempts block forever, as the legacy path does).
+	// timeouts and retries: the call blocks until the reply arrives.
 	Timeout sim.Time
 	// Retries is the number of re-sends after the first attempt.
 	Retries int

@@ -110,8 +110,8 @@ func TestResilienceHotPathAllocs(t *testing.T) {
 }
 
 // defaultTestPolicy is a tight policy for sub-second test runs.
-func defaultTestPolicy() *Resilience {
-	return &Resilience{
+func defaultTestPolicy() Resilience {
+	return Resilience{
 		Timeout:        2 * sim.Millisecond,
 		Retries:        2,
 		Backoff:        200 * sim.Microsecond,
@@ -147,11 +147,11 @@ func TestResilientCallCrashRetryAndRecovery(t *testing.T) {
 			}
 		}
 	})
-	f.eng.ScheduleFunc(15*sim.Millisecond, func() {
+	f.eng.Schedule(15*sim.Millisecond, func() {
 		phase = 1
 		f.child.Crash()
 	})
-	f.eng.ScheduleFunc(45*sim.Millisecond, func() {
+	f.eng.Schedule(45*sim.Millisecond, func() {
 		f.child.Restart()
 		phase = 2
 	})
@@ -194,7 +194,7 @@ func TestResilientCallCrashRetryAndRecovery(t *testing.T) {
 // record the hedged delivery.
 func TestResilientCallHedging(t *testing.T) {
 	f := newTwoTier(t, 1.0)
-	f.parent.Cfg.Resilience = &Resilience{
+	f.parent.Cfg.Resilience = Resilience{
 		Timeout:    20 * sim.Millisecond,
 		HedgeAfter: 200 * sim.Microsecond,
 	}
@@ -221,7 +221,7 @@ func TestResilientCallHedging(t *testing.T) {
 	}
 }
 
-// TestResilientNoFaultMatchesLegacySpans checks the resilient path under
+// TestResilientNoFaultClean checks the resilient path under
 // zero faults completes every request cleanly: no retries, no errors, no
 // failed requests — so turning the policy on does not degrade a healthy run.
 func TestResilientNoFaultClean(t *testing.T) {
@@ -241,14 +241,14 @@ func TestResilientNoFaultClean(t *testing.T) {
 // with no retry cost).
 func TestBreakerTripsUnderOutage(t *testing.T) {
 	f := newTwoTier(t, 1.0)
-	f.parent.Cfg.Resilience = &Resilience{
+	f.parent.Cfg.Resilience = Resilience{
 		Timeout:        sim.Millisecond,
 		Retries:        1,
 		Backoff:        100 * sim.Microsecond,
 		BreakerFails:   3,
 		BreakerOpenFor: 50 * sim.Millisecond,
 	}
-	f.eng.ScheduleFunc(sim.Millisecond, func() { f.child.Crash() })
+	f.eng.Schedule(sim.Millisecond, func() { f.child.Crash() })
 	f.drive(40)
 	defer f.shutdown()
 

@@ -56,10 +56,10 @@ type TierConfig struct {
 	// kinds; nil falls back to the Social Network names.
 	KindName func(kind int) string
 	Seed     int64
-	// Resilience, when non-nil, turns on the resilient RPC path (timeouts,
-	// retries, hedging, circuit breaking, load shedding). Nil keeps the
-	// legacy blocking path byte-identical to the pre-fault simulator.
-	Resilience *Resilience
+	// Resilience is the tier's RPC survival policy (timeouts, retries,
+	// hedging, circuit breaking, load shedding). The zero value is the plain
+	// blocking call: no timeout, no retries, no breaker, no shedding.
+	Resilience Resilience
 }
 
 // Tier is a generic RPC microservice: a network/thread skeleton, a request
@@ -83,7 +83,7 @@ type Tier struct {
 
 	rng      *stats.Rand
 	conns    map[*kernel.Thread]map[string]*kernel.Endpoint
-	breakers map[string]*Breaker // per downstream target, resilient path only
+	breakers map[string]*Breaker // per downstream target
 	streams  *StreamCache        // rotating pregenerated request streams for Body
 	arm      *dtrace.Arm         // this machine's shard-local recording surface
 }
@@ -157,7 +157,7 @@ func (t *Tier) ctxOf(msg kernel.Msg) *RPCCtx {
 // downstream calls, response.
 func (t *Tier) handle(th *kernel.Thread, conn *kernel.Endpoint, msg kernel.Msg) {
 	ctx := t.ctxOf(msg)
-	r := t.Cfg.Resilience
+	r := &t.Cfg.Resilience
 	diskStart := th.Proc.DiskReadBytes + th.Proc.DiskWritten
 	var span dtrace.Span
 	if t.arm != nil && ctx.Trace != 0 {
@@ -173,7 +173,7 @@ func (t *Tier) handle(th *kernel.Thread, conn *kernel.Endpoint, msg kernel.Msg) 
 	}
 	// Load shedding: a request that sat in the server queue past the policy
 	// bound is rejected before any body work — overload control.
-	if r != nil && r.ShedAfter > 0 && msg.Sent > 0 && th.Now()-msg.Sent > r.ShedAfter {
+	if r.ShedAfter > 0 && msg.Sent > 0 && th.Now()-msg.Sent > r.ShedAfter {
 		t.fail(ctx, &span)
 		if span.ID != 0 {
 			span.End = th.Now()
@@ -210,17 +210,6 @@ func (t *Tier) handle(th *kernel.Thread, conn *kernel.Endpoint, msg kernel.Msg) 
 			}
 		}
 		for ; n > 0; n-- {
-			if r == nil {
-				down := t.connTo(th, call.Target)
-				child := &RPCCtx{Req: ctx.Req, Kind: ctx.Kind, Trace: ctx.Trace, Parent: span.ID}
-				reqB := call.ReqBytes
-				if reqB <= 0 {
-					reqB = 256
-				}
-				th.Send(down, reqB, child)
-				th.Recv(down)
-				continue
-			}
 			if !t.callResilient(th, call, ctx, &span) {
 				span.DownErrors++
 				t.fail(ctx, &span)
@@ -263,7 +252,7 @@ func (t *Tier) finish(ctx *RPCCtx) {
 // failed — breaker open, attempts exhausted, or the downstream answered with
 // an app-level error (which is final: retrying cannot fix a deeper outage).
 func (t *Tier) callResilient(th *kernel.Thread, call Call, ctx *RPCCtx, span *dtrace.Span) bool {
-	r := t.Cfg.Resilience
+	r := &t.Cfg.Resilience
 	reqB := call.ReqBytes
 	if reqB <= 0 {
 		reqB = 256
@@ -274,7 +263,7 @@ func (t *Tier) callResilient(th *kernel.Thread, call Call, ctx *RPCCtx, span *dt
 		return false
 	}
 	if r.Timeout <= 0 {
-		// No timeout configured: the attempt is the legacy blocking call.
+		// No timeout configured: one blocking call, no retries.
 		down := t.connTo(th, call.Target)
 		child := &RPCCtx{Req: ctx.Req, Kind: ctx.Kind, Trace: ctx.Trace, Parent: span.ID}
 		th.Send(down, reqB, child)
@@ -327,7 +316,7 @@ func (t *Tier) callResilient(th *kernel.Thread, call Call, ctx *RPCCtx, span *dt
 // sent.
 func (t *Tier) awaitReply(th *kernel.Thread, down *kernel.Endpoint, sent []*RPCCtx,
 	reqB int, ctx *RPCCtx, span *dtrace.Span, attempt int) (*RPCCtx, *RPCCtx) {
-	r := t.Cfg.Resilience
+	r := &t.Cfg.Resilience
 	start := th.Now()
 	deadline := start + r.Timeout
 	hedgeAt := sim.Time(-1)
@@ -377,7 +366,7 @@ func (t *Tier) awaitReply(th *kernel.Thread, down *kernel.Endpoint, sent []*RPCC
 func (t *Tier) breakerFor(target string) *Breaker {
 	b := t.breakers[target]
 	if b == nil {
-		r := t.Cfg.Resilience
+		r := &t.Cfg.Resilience
 		b = NewBreaker(r.BreakerFails, r.BreakerOpenFor)
 		t.breakers[target] = b
 	}

@@ -99,7 +99,7 @@ func (d *Device) submit(bytes int, lat sim.Time, read bool, done func()) sim.Tim
 		d.ctr.WriteBytes += uint64(bytes)
 	}
 	if done != nil {
-		d.eng.ScheduleFunc(end, done)
+		d.eng.Schedule(end, done)
 	}
 	return end
 }

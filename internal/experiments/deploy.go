@@ -42,7 +42,7 @@ func (d *Deployment) TierProc(name string) *kernel.Proc {
 }
 
 // SetResilience installs one RPC resilience policy on every tier.
-func (d *Deployment) SetResilience(r *app.Resilience) {
+func (d *Deployment) SetResilience(r app.Resilience) {
 	for _, t := range d.Tiers {
 		t.Cfg.Resilience = r
 	}

@@ -97,8 +97,8 @@ func figFScenarios() []figFScenario {
 // figFPolicy is the RPC resilience policy every tier runs under in the
 // resilience experiment: per-attempt timeouts with two retries, hedging at
 // half the timeout, a consecutive-failure breaker, and queue-delay shedding.
-func figFPolicy() *app.Resilience {
-	return &app.Resilience{
+func figFPolicy() app.Resilience {
+	return app.Resilience{
 		Timeout:        10 * sim.Millisecond,
 		Retries:        2,
 		Backoff:        500 * sim.Microsecond,

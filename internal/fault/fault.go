@@ -149,7 +149,7 @@ func (p *Plane) Schedule(sc Scenario) {
 				if t == nil {
 					continue
 				}
-				t.M.Eng.ScheduleFunc(ev.At, func() {
+				t.M.Eng.Schedule(ev.At, func() {
 					if op == OpCrash {
 						t.Crash()
 					} else {
@@ -173,7 +173,7 @@ func (p *Plane) Schedule(sc Scenario) {
 			}
 			for _, m := range p.machineList(touch) {
 				m := m
-				m.Eng.ScheduleFunc(ev.At, func() { m.SetCPUThrottle(1) })
+				m.Eng.Schedule(ev.At, func() { m.SetCPUThrottle(1) })
 			}
 		case OpLoss, OpDelay:
 			touch := p.machinesOf(ev.Tiers)
@@ -192,7 +192,7 @@ func (p *Plane) Schedule(sc Scenario) {
 			thr := ev.Throttle
 			for _, m := range p.machineList(p.machinesOf(ev.Tiers)) {
 				m := m
-				m.Eng.ScheduleFunc(ev.At, func() { m.SetCPUThrottle(thr) })
+				m.Eng.Schedule(ev.At, func() { m.SetCPUThrottle(thr) })
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func (p *Plane) Schedule(sc Scenario) {
 // fault cell inside netsim.Send.
 func (p *Plane) scheduleLink(at sim.Time, l Link, fn func(*netsim.LinkFault)) {
 	f := l.Fault
-	l.Src.Eng.ScheduleFunc(at, func() { fn(f) })
+	l.Src.Eng.Schedule(at, func() { fn(f) })
 }
 
 // machineList resolves a machine set to a deterministic slice: all tiers'

@@ -46,7 +46,7 @@ func newFixture(seed int64) *fixture {
 	parent := app.NewTier(m1, app.TierConfig{Name: "parent", Port: 9000,
 		RespBytes: 512, Seed: seed,
 		Calls: map[int][]app.Call{0: {{Target: "child", Prob: 1, ReqBytes: 128, RespBytes: 256}}},
-		Resilience: &app.Resilience{
+		Resilience: app.Resilience{
 			Timeout: 2 * sim.Millisecond, Retries: 2, Backoff: 200 * sim.Microsecond,
 			BreakerFails: 8, BreakerOpenFor: 10 * sim.Millisecond,
 		},

@@ -30,7 +30,7 @@ func TestKillProcUnbindsListener(t *testing.T) {
 		second = th.ConnectTimeout(k, 90, 2*sim.Millisecond)
 	})
 
-	eng.ScheduleFunc(3*sim.Millisecond, func() { k.KillProc(srv) })
+	eng.Schedule(3*sim.Millisecond, func() { k.KillProc(srv) })
 	eng.Run()
 
 	if first == nil {
@@ -76,7 +76,7 @@ func TestKillProcClosesConnSides(t *testing.T) {
 		failAt = eng.Now() - start
 	})
 
-	eng.ScheduleFunc(3*sim.Millisecond, func() { k.KillProc(srv) })
+	eng.Schedule(3*sim.Millisecond, func() { k.KillProc(srv) })
 	eng.Run()
 
 	if !okBefore {
@@ -117,8 +117,8 @@ func TestKillProcUnwindsThreads(t *testing.T) {
 	})
 
 	restarted := false
-	eng.ScheduleFunc(3*sim.Millisecond, func() { k.KillProc(victim) })
-	eng.ScheduleFunc(6*sim.Millisecond, func() {
+	eng.Schedule(3*sim.Millisecond, func() { k.KillProc(victim) })
+	eng.Schedule(6*sim.Millisecond, func() {
 		victim.Spawn("reborn", func(th *Thread) {
 			th.Sleep(sim.Microsecond)
 			restarted = true

@@ -128,7 +128,7 @@ func TestKillProcDropsUnfsyncedDirty(t *testing.T) {
 	if f.DirtyPages() != 8 {
 		t.Fatalf("dirty pages before crash = %d", f.DirtyPages())
 	}
-	eng.AfterFunc(0, func() { k.KillProc(victim) })
+	eng.After(0, func() { k.KillProc(victim) })
 	eng.Run()
 	if f.DirtyPages() != 0 {
 		t.Fatalf("dirty pages after crash = %d, want 0", f.DirtyPages())
@@ -166,7 +166,7 @@ func TestFsyncSurvivesKillProc(t *testing.T) {
 		th.CloseFD(fd)
 	})
 	eng.Run()
-	eng.AfterFunc(0, func() { k.KillProc(a); k.KillProc(b) })
+	eng.After(0, func() { k.KillProc(a); k.KillProc(b) })
 	eng.Run()
 	if w := k.Resources().Disk.Counters().WriteBytes; w != 4*PageBytes {
 		t.Fatalf("device write bytes after double crash = %d, want %d (fsynced file only)",

@@ -143,9 +143,9 @@ func New(eng *sim.Engine, name string, res Resources) *Kernel {
 		res.PageCachePages = 1 << 18 // 1GB default
 	}
 	k := &Kernel{
-		Name:       name,
-		eng:        eng,
-		res:        res,
+		Name: name,
+		eng:  eng,
+		res:  res,
 		// ditto:determinism-ok reviewed: the strict-handoff coroutine channel;
 		// exactly one goroutine runs at a time, so no order is ever racy.
 		parkCh:     make(chan struct{}),
@@ -292,10 +292,10 @@ func (p *Proc) Spawn(name string, fn func(*Thread)) *Thread {
 	k := p.k
 	k.nextTID++
 	t := &Thread{
-		ID:      k.nextTID,
-		Name:    name,
-		Proc:    p,
-		k:       k,
+		ID:   k.nextTID,
+		Name: name,
+		Proc: p,
+		k:    k,
 		// ditto:determinism-ok reviewed: per-thread resume channel of the
 		// strict handoff; only the engine goroutine ever sends on it.
 		resume:  make(chan struct{}),
@@ -362,7 +362,7 @@ func (k *Kernel) wake(t *Thread, source string) {
 	t.lastWakeSrc = source
 	k.emitThread(ThreadEvent{Time: k.eng.Now(), TID: t.ID, Proc: t.Proc.Name,
 		Thread: t.Name, Kind: ThreadWake, Source: source})
-	k.eng.AfterFunc(0, t.dispatchFn)
+	k.eng.After(0, t.dispatchFn)
 }
 
 // KillProc terminates every thread of p (a process crash), unbinds its
@@ -404,7 +404,7 @@ func (k *Kernel) Stop() {
 	k.stopping = true
 	for _, t := range k.threads {
 		if !t.done {
-			k.eng.AfterFunc(0, t.dispatchFn)
+			k.eng.After(0, t.dispatchFn)
 		}
 	}
 }
@@ -508,7 +508,7 @@ func (k *Kernel) runBurst(coreID int, b *burst) {
 			bk.pump()
 		}
 	}
-	k.eng.AfterFunc(extra+core.Time(b.res.Cycles), b.finish)
+	k.eng.After(extra+core.Time(b.res.Cycles), b.finish)
 }
 
 // kvariantCount is how many pregenerated variants of each syscall's kernel
@@ -578,7 +578,7 @@ func (t *Thread) RunTrace(tr *cpu.Trace) cpu.Result {
 func (t *Thread) Sleep(d sim.Time) {
 	t.syscallEnter(SysNanosleep, 0, "")
 	deadline := t.k.eng.Now() + d
-	t.k.eng.ScheduleFunc(deadline, t.wakeTimer())
+	t.k.eng.Schedule(deadline, t.wakeTimer())
 	for t.k.eng.Now() < deadline {
 		t.park()
 	}

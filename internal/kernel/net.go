@@ -267,7 +267,7 @@ func (t *Thread) RecvTimeout(e *Endpoint, d sim.Time) (Msg, bool) {
 	side := e.mine
 	if len(side.inbox) == 0 {
 		deadline := t.k.eng.Now() + d
-		t.k.eng.ScheduleFunc(deadline, t.wakeTimer())
+		t.k.eng.Schedule(deadline, t.wakeTimer())
 		for len(side.inbox) == 0 {
 			if side.closed || side.peerClosed || t.k.eng.Now() >= deadline {
 				t.syscallEnter(SysRecv, 0, "socket")

@@ -155,7 +155,7 @@ func Send(eng *sim.Engine, p Path, bytes int, deliver func()) sim.Time {
 			p.Dst.RxMsgs++
 		}
 		if deliver != nil {
-			eng.ScheduleFunc(arrive, deliver)
+			eng.Schedule(arrive, deliver)
 		}
 		return arrive
 	}

@@ -16,9 +16,10 @@
 //     exactly as a standalone Engine would.
 //   - Cross-shard events are not injected directly; they are staged in
 //     per-(dst, src) lanes. Each lane preserves the sender's firing order,
-//     and the barrier merge drains lanes in ascending source-shard order with
-//     a stable sort by delivery time — a schedule that depends only on what
-//     each shard did, never on when the OS ran it.
+//     and the barrier merge schedules lanes in ascending source-shard order.
+//     The destination heap then orders them by (at, seq), and seq follows
+//     that merge order — a schedule that depends only on what each shard
+//     did, never on when the OS ran it.
 //   - The worker pool only decides which OS thread advances which shard;
 //     it cannot reorder anything observable. Width 1 and width 64 therefore
 //     produce byte-identical simulations.
@@ -26,7 +27,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -49,11 +49,9 @@ type World struct {
 	now       Time
 
 	// lanes[dst][src] stages cross-shard events between barriers; mu[dst]
-	// serializes concurrent senders targeting the same destination. scratch
-	// reuses one merge buffer across windows.
-	mu      []sync.Mutex
-	lanes   [][][]crossEvent
-	scratch []crossEvent
+	// serializes concurrent senders targeting the same destination.
+	mu    []sync.Mutex
+	lanes [][][]crossEvent
 }
 
 // NewWorld builds a world whose shards may run ahead of each other by up to
@@ -239,38 +237,20 @@ func (w *World) stage(src, dst *Engine, at Time, fn func()) {
 
 // merge drains every staged lane into its destination shard's heap. Order is
 // deterministic by construction: destinations ascending, then for each
-// destination its source lanes ascending with each lane in send order,
-// stable-sorted by delivery time. Runs only between windows, on the driver.
+// destination its source lanes ascending with each lane in send order. No
+// sort is needed: the heap orders by (at, seq) and seq follows this schedule
+// order, so same-instant deliveries keep lane order and anything else is
+// ordered by time alone. Every delivery lies at or past the window bound
+// (stage enforces at ≥ sender clock + lookahead), so it is never in the
+// receiver's past. Runs only between windows, on the driver.
 func (w *World) merge() {
-	for dst := range w.shards {
-		buf := w.scratch[:0]
-		for src := range w.shards {
-			lane := w.lanes[dst][src]
-			if len(lane) == 0 {
-				continue
-			}
-			buf = append(buf, lane...)
-			for i := range lane {
+	for dst, d := range w.shards {
+		for src, lane := range w.lanes[dst] {
+			for i, ev := range lane {
+				d.Schedule(ev.at, ev.fn)
 				lane[i] = crossEvent{}
 			}
 			w.lanes[dst][src] = lane[:0]
 		}
-		if len(buf) == 0 {
-			continue
-		}
-		sort.SliceStable(buf, func(i, j int) bool { return buf[i].at < buf[j].at })
-		d := w.shards[dst]
-		for _, ev := range buf {
-			at := ev.at
-			if at < d.now {
-				// The receiver idled past the delivery time inside its
-				// window (it had no local events there); the horizon still
-				// guarantees no fired event depended on this one, so the
-				// delivery slots in at the receiver's current clock.
-				at = d.now
-			}
-			d.schedule(at, ev.fn, true)
-		}
-		w.scratch = buf[:0]
 	}
 }

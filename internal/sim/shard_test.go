@@ -33,49 +33,6 @@ func TestFromSecondsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCancelNeverPopped pins the invariant that lets Step/RunUntil skip
-// cancelled-event checks: Cancel removes the event from the heap, so a
-// cancelled event can never be popped or fired.
-func TestCancelNeverPopped(t *testing.T) {
-	e := NewEngine()
-	var fired []string
-	mk := func(name string, at Time) *Event {
-		return e.Schedule(at, func() { fired = append(fired, name) })
-	}
-	a := mk("a", 10)
-	b := mk("b", 20)
-	c := mk("c", 30)
-	if !e.Cancel(b) {
-		t.Fatal("Cancel(b) = false")
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending after cancel = %d, want 2 (cancelled event must leave the heap immediately)", e.Pending())
-	}
-	e.Run()
-	if got := strings.Join(fired, ","); got != "a,c" {
-		t.Fatalf("fired %q, want a,c", got)
-	}
-	if !a.Fired() || !c.Fired() || b.Fired() {
-		t.Fatal("Fired flags wrong after run")
-	}
-	if !b.Cancelled() || a.Cancelled() {
-		t.Fatal("Cancelled flags wrong after run")
-	}
-	// Cancelling the head mid-run must also keep it out of the pop path.
-	e2 := NewEngine()
-	var log []Time
-	var head *Event
-	head = e2.Schedule(5, func() { log = append(log, 5) })
-	e2.Schedule(3, func() {
-		log = append(log, 3)
-		e2.Cancel(head)
-	})
-	e2.Run()
-	if len(log) != 1 || log[0] != 3 {
-		t.Fatalf("log = %v, want [3]", log)
-	}
-}
-
 // buildRaceWorld wires the satellite-3 fixture: shards A and B race
 // deliveries into shard C at identical virtual times, with C also running
 // local events at those instants. Returns the world and a log capturing C's
@@ -97,12 +54,12 @@ func buildRaceWorld(width int) (*World, *[]string) {
 	for i := 0; i < 40; i++ {
 		i := i
 		at := Time(i) * 10 * Microsecond
-		a.ScheduleFunc(at, func() { a.ScheduleCross(c, a.Now()+lookahead, obs("a", i)) })
-		b.ScheduleFunc(at, func() { b.ScheduleCross(c, b.Now()+lookahead, obs("b", i)) })
-		c.ScheduleFunc(at+lookahead, obs("c", i))
+		a.Schedule(at, func() { a.ScheduleCross(c, a.Now()+lookahead, obs("a", i)) })
+		b.Schedule(at, func() { b.ScheduleCross(c, b.Now()+lookahead, obs("b", i)) })
+		c.Schedule(at+lookahead, obs("c", i))
 		// Second-hop traffic: C bounces an ack back to A, which forwards to
 		// B, exercising chained cross-shard edges.
-		c.ScheduleFunc(at, func() {
+		c.Schedule(at, func() {
 			c.ScheduleCross(a, c.Now()+lookahead, func() {
 				a.ScheduleCross(b, a.Now()+lookahead, func() {})
 			})
@@ -137,7 +94,7 @@ func TestWorldRunUntilAlignsClocks(t *testing.T) {
 	a := w.NewShard()
 	b := w.NewShard()
 	firedAtDeadline := false
-	a.ScheduleFunc(Millisecond, func() { firedAtDeadline = true })
+	a.Schedule(Millisecond, func() { firedAtDeadline = true })
 	w.RunUntil(Millisecond)
 	if !firedAtDeadline {
 		t.Fatal("event at exactly the deadline did not fire")
@@ -147,7 +104,7 @@ func TestWorldRunUntilAlignsClocks(t *testing.T) {
 	}
 	// Events beyond the deadline stay pending and fire on the next run.
 	later := false
-	a.ScheduleFunc(3*Millisecond, func() { later = true })
+	a.Schedule(3*Millisecond, func() { later = true })
 	w.RunUntil(2 * Millisecond)
 	if later {
 		t.Fatal("event beyond deadline fired early")
@@ -162,7 +119,7 @@ func TestWorldLookaheadViolationPanics(t *testing.T) {
 	w := NewWorld(50*Microsecond, 2)
 	a := w.NewShard()
 	b := w.NewShard()
-	a.ScheduleFunc(0, func() {
+	a.Schedule(0, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("cross-shard schedule inside the lookahead horizon did not panic")
@@ -184,5 +141,41 @@ func TestScheduleCrossOutsideRunIsDirect(t *testing.T) {
 	w.RunUntil(Microsecond)
 	if !hit {
 		t.Fatal("setup-time cross schedule did not fire")
+	}
+}
+
+// TestWorldMergeOrder pins the exact order in which one destination fires
+// deliveries merged at a barrier: by time; at one instant, local events
+// (scheduled before the merge) first, then merged deliveries by ascending
+// source shard, each source in send order — including a lane whose sends
+// arrive in decreasing time and a delivery at exactly the window bound.
+func TestWorldMergeOrder(t *testing.T) {
+	const lookahead = 10
+	for _, width := range []int{1, 2, 3} {
+		w := NewWorld(lookahead, width)
+		a := w.NewShard()
+		b := w.NewShard()
+		d := w.NewShard()
+		var got []string
+		obs := func(name string) func() {
+			return func() { got = append(got, fmt.Sprintf("%d:%s", d.Now(), name)) }
+		}
+		d.Schedule(20, obs("d-setup"))
+		d.Schedule(25, obs("d-setup"))
+		d.Schedule(5, func() { d.Schedule(20, obs("d-window")) })
+		a.Schedule(0, func() {
+			a.ScheduleCross(d, 20, obs("a0"))
+			a.ScheduleCross(d, 30, obs("a1"))
+			a.ScheduleCross(d, 25, obs("a2"))
+			a.ScheduleCross(d, 20, obs("a3"))
+			a.ScheduleCross(d, 10, obs("a4"))
+		})
+		b.Schedule(0, func() { b.ScheduleCross(d, 25, obs("b0")) })
+		b.Schedule(3, func() { b.ScheduleCross(d, 20, obs("b1")) })
+		w.Run()
+		want := "10:a4 20:d-setup 20:d-window 20:a0 20:a3 20:b1 25:d-setup 25:a2 25:b0 30:a1"
+		if s := strings.Join(got, " "); s != want {
+			t.Fatalf("width %d fired\n %s\nwant\n %s", width, s, want)
+		}
 	}
 }

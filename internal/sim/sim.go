@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -71,58 +70,17 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. Events are created by Engine.Schedule and
-// Engine.After and may be cancelled until they fire. Events created by the
-// handle-free ScheduleFunc/AfterFunc variants are recycled through the
-// engine's free list and never escape.
-type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	index     int // heap index, -1 once popped or cancelled
-	cancelled bool
-	fired     bool
-	pooled    bool
+// event is one scheduled callback, stored by value in the engine's heap.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel prevented the event from firing. Events
-// that already fired report false: firing and cancellation are mutually
-// exclusive outcomes.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// before reports whether a fires ahead of b: earlier time first, then
+// scheduling order, which makes same-instant events FIFO.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -132,15 +90,13 @@ func (h *eventHeap) Pop() any {
 // machine — and advances them concurrently inside conservative windows; each
 // engine is still only ever touched by one goroutine at a time.
 type Engine struct {
-	now    Time
-	events eventHeap
+	now Time
+	// events is a binary min-heap ordered by (at, seq). Events live in it by
+	// value, so once the backing array has grown to the peak number of
+	// pending events, scheduling and firing allocate nothing.
+	events []event
 	seq    uint64
 	fired  uint64
-	// free recycles events scheduled through ScheduleFunc/AfterFunc. Those
-	// events never escape to callers, so reusing their memory is safe; the
-	// hot path (kernel wakeups, network deliveries — millions per run)
-	// stops allocating one *Event per schedule.
-	free []*Event
 	// id and world bind a shard engine to its World; both stay zero for a
 	// standalone engine.
 	id    int
@@ -161,89 +117,84 @@ func (e *Engine) Pending() int { return len(e.events) }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
 // (at < Now) panics: it always indicates a modeling bug, and silently
-// clamping would hide it.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	return e.schedule(at, fn, false)
-}
-
-// After registers fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.schedule(e.now+d, fn, false)
-}
-
-// ScheduleFunc registers fn to run at absolute time at without returning a
-// handle. The event cannot be cancelled or inspected, which lets the engine
-// recycle its memory through a free list once it fires — use this on hot
-// paths that never cancel.
-func (e *Engine) ScheduleFunc(at Time, fn func()) {
-	e.schedule(at, fn, true)
-}
-
-// AfterFunc registers fn to run d after the current time without returning
-// a handle; see ScheduleFunc.
-func (e *Engine) AfterFunc(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now+d, fn, true)
-}
-
-func (e *Engine) schedule(at Time, fn func(), pooled bool) *Event {
+// clamping would hide it. A scheduled event cannot be cancelled; a model
+// that may change its mind checks its own state when the callback runs.
+//
+// ditto:noalloc
+func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+		panicPast(at, e.now)
 	}
-	var ev *Event
-	if n := len(e.free); pooled && n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = Event{at: at, seq: e.seq, fn: fn, pooled: true}
-	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, pooled: pooled}
-	}
+	ev := event{at: at, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	e.events = h
 }
 
-// Cancel prevents ev from firing and reports whether this call actually
-// stopped it. Cancelling a nil, already-cancelled or already-fired event is
-// a no-op returning false; in particular a fired event keeps reporting
-// Cancelled() == false, so history is never misreported.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.cancelled || ev.fired || ev.index < 0 {
-		return false
+// panicPast is the cold failure path of Schedule, hoisted behind noinline so
+// the formatted message stays out of the noalloc-gated hot path.
+//
+//go:noinline
+func panicPast(at, now Time) {
+	panic(fmt.Sprintf("sim: schedule at %v before now %v", at, now))
+}
+
+// After registers fn to run d after the current time. A negative d is
+// treated as zero.
+func (e *Engine) After(d Time, fn func()) {
+	if d < 0 {
+		d = 0
 	}
-	ev.cancelled = true
-	heap.Remove(&e.events, ev.index)
-	return true
+	e.Schedule(e.now+d, fn)
 }
 
 // Step fires the next pending event, advancing the clock to its time. It
-// reports whether an event was fired. Cancelled events need no filtering
-// here: Cancel heap.Removes the event, so a cancelled event is never in the
-// heap (TestCancelNeverPopped pins the invariant).
+// reports whether an event was fired. The event leaves the heap before its
+// callback runs, so the callback may schedule freely.
+//
+// ditto:noalloc
 func (e *Engine) Step() bool {
-	if len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		e.now = ev.at
-		e.fired++
-		fn := ev.fn
-		ev.fired = true
-		if ev.pooled {
-			// Release before running fn so an immediate reschedule inside
-			// the callback reuses this slot. Pooled events have no outside
-			// handle, so nothing can observe the reuse.
-			ev.fn = nil
-			e.free = append(e.free, ev)
-		}
-		fn()
-		return true
+	h := e.events
+	n := len(h) - 1
+	if n < 0 {
+		return false
 	}
-	return false
+	top, last := h[0], h[n]
+	h[n] = event{} // release the closure for the collector
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.events = h
+	e.now = top.at
+	e.fired++
+	top.fn()
+	return true
 }
 
 // Run fires events until none remain.
@@ -253,8 +204,7 @@ func (e *Engine) Run() {
 }
 
 // RunUntil fires events with time ≤ t, then advances the clock to exactly t.
-// Events scheduled for later remain pending. As in Step, no cancelled-event
-// filtering is needed: Cancel removes events from the heap.
+// Events scheduled for later remain pending.
 func (e *Engine) RunUntil(t Time) {
 	for len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()
@@ -272,10 +222,10 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // destination's ordered inbox and merged at the next window barrier — the
 // only way one shard may touch another's future. Outside a running World
 // (same engine, standalone engines, or setup time between World runs) it
-// degenerates to a plain handle-free schedule on dst.
+// degenerates to a plain Schedule on dst.
 func (e *Engine) ScheduleCross(dst *Engine, at Time, fn func()) {
 	if dst == e || e.world == nil || e.world != dst.world || !e.world.running {
-		dst.schedule(at, fn, true)
+		dst.Schedule(at, fn)
 		return
 	}
 	e.world.stage(e, dst, at, fn)

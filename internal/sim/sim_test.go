@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,45 +69,6 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	// Double cancel is a no-op.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestEngineCancelMiddle(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	evs := make([]*Event, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		evs[i] = e.Schedule(Time(i), func() { order = append(order, i) })
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.Run()
-	want := []int{0, 1, 2, 3, 5, 6, 8, 9}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestEngineAfterAndNesting(t *testing.T) {
 	e := NewEngine()
 	var times []Time
@@ -170,18 +130,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunUntilSkipsCancelled(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5, func() { t.Fatal("should not fire") })
-	e.Cancel(ev)
-	// Cancel removes from the heap, but also exercise the lazy path by
-	// marking one cancelled directly after a second cancel call.
-	e.RunUntil(10)
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
 func TestFiredAndPending(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func() {})
@@ -195,54 +143,25 @@ func TestFiredAndPending(t *testing.T) {
 	}
 }
 
-func TestCancelReportsWhetherPrevented(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(10, func() {})
-	if !e.Cancel(ev) {
-		t.Fatal("first Cancel should report true: it removed the event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("second Cancel should report false: nothing left to stop")
-	}
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) should report false")
-	}
-	e.Run()
-}
-
-func TestCancelAfterFiringReportsFalse(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.Schedule(10, func() { ran = true })
-	e.Run()
-	if !ran || !ev.Fired() {
-		t.Fatalf("event should have fired: ran=%v Fired=%v", ran, ev.Fired())
-	}
-	if e.Cancel(ev) {
-		t.Fatal("cancelling a fired event must report false")
-	}
-	if ev.Cancelled() {
-		t.Fatal("a fired event must keep Cancelled() == false")
-	}
-}
-
-// Satellite regression: RunUntil with cancellations interleaved between and
-// inside windows fires exactly the surviving events and still lands the
-// clock on every requested boundary.
+// RunUntil with model-level cancellations interleaved between and inside
+// windows fires exactly the surviving callbacks and still lands the clock on
+// every requested boundary. The engine has no Cancel: a model that changes
+// its mind clears its own flag and the stale callback returns early.
 func TestRunUntilInterleavedCancellations(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	evs := map[Time]*Event{}
+	live := map[Time]bool{}
 	for _, at := range []Time{5, 10, 15, 20, 25, 30} {
 		at := at
-		evs[at] = e.Schedule(at, func() { fired = append(fired, at) })
+		live[at] = true
+		e.Schedule(at, func() {
+			if live[at] {
+				fired = append(fired, at)
+			}
+		})
 	}
 	// Cancel a future event from inside an earlier one.
-	e.Schedule(6, func() {
-		if !e.Cancel(evs[15]) {
-			t.Error("in-callback Cancel of pending event should report true")
-		}
-	})
+	e.Schedule(6, func() { live[15] = false })
 	e.RunUntil(12)
 	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
 		t.Fatalf("window 1 fired %v, want [5 10]", fired)
@@ -251,9 +170,7 @@ func TestRunUntilInterleavedCancellations(t *testing.T) {
 		t.Fatalf("Now = %v, want 12", e.Now())
 	}
 	// Cancel between windows.
-	if !e.Cancel(evs[20]) {
-		t.Fatal("between-window Cancel should report true")
-	}
+	live[20] = false
 	e.RunUntil(22)
 	if len(fired) != 2 {
 		t.Fatalf("window 2 fired %v, want nothing new (15, 20 cancelled)", fired)
@@ -261,137 +178,138 @@ func TestRunUntilInterleavedCancellations(t *testing.T) {
 	if e.Now() != 22 {
 		t.Fatalf("Now = %v, want 22 even with all window events cancelled", e.Now())
 	}
-	// Cancelling what already fired changes nothing.
-	if e.Cancel(evs[10]) {
-		t.Fatal("Cancel of fired event should report false")
-	}
+	// Reschedule from inside a callback at Now() and later, mid-window.
+	e.Schedule(24, func() {
+		e.Schedule(e.Now(), func() { fired = append(fired, 24) })
+		e.After(2, func() { fired = append(fired, 26) })
+	})
 	e.Run()
-	if len(fired) != 4 || fired[2] != 25 || fired[3] != 30 {
-		t.Fatalf("final fired %v, want [5 10 25 30]", fired)
+	want := []Time{5, 10, 24, 25, 26, 30}
+	if len(fired) != len(want) {
+		t.Fatalf("final fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("final fired %v, want %v", fired, want)
+		}
 	}
 }
 
-func TestScheduleFuncRecyclesThroughFreeList(t *testing.T) {
-	e := NewEngine()
-	e.ScheduleFunc(1, func() {})
-	e.Step()
-	if len(e.free) != 1 {
-		t.Fatalf("free list has %d events after pooled fire, want 1", len(e.free))
-	}
-	recycled := e.free[0]
-	e.ScheduleFunc(2, func() {})
-	if len(e.free) != 0 {
-		t.Fatal("pooled schedule should take the free-list slot")
-	}
-	if e.events[0] != recycled {
-		t.Fatal("pooled schedule should reuse the recycled Event")
-	}
-	e.Run()
-	if len(e.free) != 1 {
-		t.Fatalf("free list has %d events after drain, want 1", len(e.free))
-	}
-}
-
-func TestUnpooledEventsAreNotRecycled(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(1, func() {})
-	e.After(2, func() {})
-	e.Run()
-	if len(e.free) != 0 {
-		t.Fatalf("handle-returning events must not enter the free list, got %d", len(e.free))
-	}
-	if !ev.Fired() {
-		t.Fatal("event should have fired")
-	}
-}
-
-// A callback that immediately reschedules itself must reuse its own slot:
-// the whole chain runs on a single allocation.
+// Events live by value in the heap, so the slot an event vacates when it
+// fires is reused by the next schedule: once the backing array has grown to
+// the peak pending count, After+Step and a callback that immediately
+// reschedules itself allocate nothing.
 func TestPooledRescheduleInsideCallback(t *testing.T) {
 	e := NewEngine()
+	nop := func() {}
+	// Far-future background events keep the heap several levels deep.
+	for i := 0; i < 64; i++ {
+		e.Schedule(Second+Time(i), nop)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		e.After(1, nop)
+		e.Step()
+	}); a != 0 {
+		t.Fatalf("After+Step on a warm heap: %v allocs/op, want 0", a)
+	}
 	count := 0
 	var tick func()
 	tick = func() {
 		count++
-		if count < 1000 {
-			e.AfterFunc(1, tick)
+		if count%10 != 0 {
+			e.After(1, tick)
 		}
 	}
-	e.AfterFunc(1, tick)
-	e.Run()
-	if count != 1000 {
-		t.Fatalf("count = %d, want 1000", count)
+	if a := testing.AllocsPerRun(100, func() {
+		e.After(1, tick)
+		e.RunFor(100)
+	}); a != 0 {
+		t.Fatalf("self-rescheduling chain: %v allocs/run, want 0", a)
 	}
-	if len(e.free) != 1 {
-		t.Fatalf("free list has %d events, want the single reused slot", len(e.free))
+	if count != 1010 {
+		t.Fatalf("count = %d, want 1010 (101 runs of a 10-event chain)", count)
+	}
+	if e.Pending() != 64 {
+		t.Fatalf("Pending = %d, want the 64 background events", e.Pending())
 	}
 }
 
-// Pooled and unpooled events at the same instant must still fire FIFO even
-// when the pooled ones are recycled mid-instant.
+// A callback that reschedules at the current instant reuses the slot its own
+// event vacated; same-instant events must still fire FIFO, the rescheduled
+// ones after everything already pending at that instant.
 func TestPooledPreservesSameInstantFIFO(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	for round := 0; round < 3; round++ {
-		e.ScheduleFunc(5, func() { order = append(order, len(order)) })
-		e.Schedule(5, func() { order = append(order, len(order)) })
+	next := 0
+	var mk func(round int) func()
+	mk = func(round int) func() {
+		id := next
+		next++
+		return func() {
+			order = append(order, id)
+			if round < 2 {
+				e.Schedule(e.Now(), mk(round+1))
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		e.Schedule(5, mk(0))
 	}
 	e.Run()
+	if len(order) != 9 {
+		t.Fatalf("fired %d events, want 9: %v", len(order), order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant order broken: %v", order)
 		}
 	}
+	if e.Now() != 5 {
+		t.Fatalf("Now = %v, want 5", e.Now())
+	}
 }
 
-// Property: events always fire in nondecreasing time order regardless of the
-// order they were scheduled in.
+// Property: the firing sequence is exactly the schedule log stably sorted by
+// time. Times come from a narrow range so ties are common, and callbacks
+// schedule children at Now() and later while the run is in progress; seq
+// follows schedule order, so (at, seq) order is the stable sort by at.
 func TestEventOrderProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
-		if len(delays) == 0 {
-			return true
-		}
+	type sched struct {
+		at Time
+		id int
+	}
+	f := func(delays []uint8) bool {
 		e := NewEngine()
-		var fired []Time
+		var log []sched
+		var fired []int
+		var add func(at Time, depth int, d uint8)
+		add = func(at Time, depth int, d uint8) {
+			id := len(log)
+			log = append(log, sched{at, id})
+			e.Schedule(at, func() {
+				fired = append(fired, id)
+				if depth < 2 && d&0x10 != 0 {
+					// A child at Now() (d&3 == 0) or up to three later.
+					add(e.Now()+Time(d&3), depth+1, d>>1)
+				}
+			})
+		}
 		for _, d := range delays {
-			at := Time(d)
-			e.Schedule(at, func() { fired = append(fired, e.Now()) })
+			add(Time(d&7), 0, d)
 		}
 		e.Run()
-		if len(fired) != len(delays) {
+		sort.SliceStable(log, func(i, j int) bool { return log[i].at < log[j].at })
+		if len(fired) != len(log) {
 			return false
 		}
-		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: random interleavings of schedule/cancel fire exactly the
-// non-cancelled events.
-func TestCancelProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		e := NewEngine()
-		n := 1 + rng.Intn(64)
-		fired := make([]bool, n)
-		evs := make([]*Event, n)
-		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = e.Schedule(Time(rng.Intn(100)), func() { fired[i] = true })
-		}
-		cancelled := make([]bool, n)
-		for i := 0; i < n/2; i++ {
-			j := rng.Intn(n)
-			cancelled[j] = true
-			e.Cancel(evs[j])
-		}
-		e.Run()
-		for i := 0; i < n; i++ {
-			if fired[i] == cancelled[i] {
-				t.Fatalf("trial %d event %d: fired=%v cancelled=%v", trial, i, fired[i], cancelled[i])
+		for i := range log {
+			if fired[i] != log[i].id {
+				return false
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -127,12 +127,12 @@ type group struct {
 	sumBranches, sumMispred float64
 	sumL1Acc, sumL1Miss     float64
 
-	prevMean, prevVar        float64
-	prevBr, prevL1           float64
-	prevNBr, prevNL1, prevN  float64
-	havePrev                 bool
-	stable                   int
-	steady                   bool
+	prevMean, prevVar       float64
+	prevBr, prevL1          float64
+	prevNBr, prevNL1, prevN float64
+	havePrev                bool
+	stable                  int
+	steady                  bool
 
 	// The measured result distribution: dist indexes results — Add and
 	// DrawIndex return the shared slot, keeping cycles and counters of one
