@@ -1,6 +1,8 @@
 package app
 
 import (
+	"fmt"
+
 	"ditto/internal/isa"
 	"ditto/internal/kernel"
 	"ditto/internal/platform"
@@ -47,14 +49,9 @@ func (b *Base) Machine() *platform.Machine { return b.M }
 // Port returns the listen port.
 func (b *Base) Port() int { return b.ListenPort }
 
-// NewBaseFor wires a Base and its process for an externally defined app
-// (the synth runtime builds its servers on the same chassis).
-func NewBaseFor(name string, m *platform.Machine, port int, seed int64) Base {
-	return newBase(name, m, port, seed)
-}
-
-// newBase wires a Base and its process.
-func newBase(name string, m *platform.Machine, port int, seed int64) Base {
+// NewBase wires a Base and its process. The synth runtime builds its
+// servers on the same chassis.
+func NewBase(name string, m *platform.Machine, port int, seed int64) Base {
 	return Base{AppName: name, M: m, P: m.Kernel.NewProc(name), ListenPort: port, Seed: seed}
 }
 
@@ -101,6 +98,45 @@ func ConnPerThreadLoop(th *kernel.Thread, l *kernel.Listener, handle Handler) {
 			for {
 				msg := w.Recv(conn)
 				handle(w, conn, msg)
+			}
+		})
+	}
+}
+
+// WorkerPool runs the dispatcher/worker-pool server model on p: a
+// dispatcher thread accepts connections on port and registers them
+// round-robin into per-worker epoll sets (memcached's dispatcher/worker
+// notification scheme); each of the workers runs an I/O-multiplexing event
+// loop over its own connections, handing handle its worker index. It
+// spawns the threads and returns.
+func WorkerPool(p *kernel.Proc, port, workers int,
+	handle func(th *kernel.Thread, w int, conn *kernel.Endpoint, msg kernel.Msg)) {
+	epolls := make([]*kernel.Epoll, workers)
+	for w := range epolls {
+		epolls[w] = p.Kernel().NewEpoll()
+	}
+	p.Spawn("dispatcher", func(th *kernel.Thread) {
+		l := th.Listen(port)
+		next := 0
+		for {
+			conn := th.Accept(l)
+			th.EpollAdd(epolls[next%workers], conn)
+			next++
+		}
+	})
+	for w := 0; w < workers; w++ {
+		w := w
+		p.Spawn(fmt.Sprintf("worker-%d", w), func(th *kernel.Thread) {
+			for {
+				for _, r := range th.EpollWait(epolls[w]) {
+					for r.Conn != nil && r.Conn.Pending() > 0 {
+						msg, ok := th.TryRecv(r.Conn)
+						if !ok {
+							break
+						}
+						handle(th, w, r.Conn, msg)
+					}
+				}
 			}
 		})
 	}

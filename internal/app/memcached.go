@@ -1,8 +1,6 @@
 package app
 
 import (
-	"fmt"
-
 	"ditto/internal/kernel"
 	"ditto/internal/platform"
 )
@@ -38,7 +36,7 @@ func NewMemcached(m *platform.Machine, port int, seed int64) *Memcached {
 // NewMemcachedN builds a Memcached instance with a custom worker-pool size
 // (the core-scaling study of Fig. 11 deploys a wider pool).
 func NewMemcachedN(m *platform.Machine, port, workers int, seed int64) *Memcached {
-	mc := &Memcached{Base: newBase("memcached", m, port, seed), Workers: workers, ValueBytes: 4096}
+	mc := &Memcached{Base: NewBase("memcached", m, port, seed), Workers: workers, ValueBytes: 4096}
 	storeBytes := 10_000 * (mc.ValueBytes + 128) // items + headers
 	for w := 0; w < mc.Workers; w++ {
 		code := mc.P.MemBase + uint64(w)<<24
@@ -90,40 +88,9 @@ func NewMemcachedN(m *platform.Machine, port, workers int, seed int64) *Memcache
 	return mc
 }
 
-// Start launches the dispatcher and worker threads. The dispatcher accepts
-// connections and registers them round-robin into the workers' epoll sets
-// (memcached's dispatcher/worker notification scheme); each worker runs an
-// I/O-multiplexing event loop over its own connections.
+// Start launches the dispatcher and worker threads (see WorkerPool).
 func (mc *Memcached) Start() {
-	epolls := make([]*kernel.Epoll, mc.Workers)
-	for w := range epolls {
-		epolls[w] = mc.M.Kernel.NewEpoll()
-	}
-	mc.P.Spawn("dispatcher", func(th *kernel.Thread) {
-		l := th.Listen(mc.ListenPort)
-		next := 0
-		for {
-			conn := th.Accept(l)
-			th.EpollAdd(epolls[next%mc.Workers], conn)
-			next++
-		}
-	})
-	for w := 0; w < mc.Workers; w++ {
-		w := w
-		mc.P.Spawn(fmt.Sprintf("worker-%d", w), func(th *kernel.Thread) {
-			for {
-				for _, r := range th.EpollWait(epolls[w]) {
-					for r.Conn != nil && r.Conn.Pending() > 0 {
-						msg, ok := th.TryRecv(r.Conn)
-						if !ok {
-							break
-						}
-						mc.handle(th, w, r.Conn, msg)
-					}
-				}
-			}
-		})
-	}
+	WorkerPool(mc.P, mc.ListenPort, mc.Workers, mc.handle)
 }
 
 // handle serves one request: GETs do parse → hash lookup → value copy →

@@ -33,7 +33,7 @@ const (
 
 // NewMongoDB builds a MongoDB instance with its 40GB dataset.
 func NewMongoDB(m *platform.Machine, port int, seed int64) *MongoDB {
-	db := &MongoDB{Base: newBase("mongodb", m, port, seed),
+	db := &MongoDB{Base: NewBase("mongodb", m, port, seed),
 		DatasetBytes: 40 << 30, ReadBytes: 40 << 10, RespBytes: 4096,
 		offRng: stats.NewRand(seed + 77)}
 	code := db.P.MemBase

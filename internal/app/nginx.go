@@ -32,7 +32,7 @@ const (
 
 // NewNginx builds an NGINX instance serving a warm static-content set.
 func NewNginx(m *platform.Machine, port int, seed int64) *Nginx {
-	n := &Nginx{Base: newBase("nginx", m, port, seed), Files: 200,
+	n := &Nginx{Base: NewBase("nginx", m, port, seed), Files: 200,
 		FileBytes: 64 << 10, RespBytes: 16 << 10}
 	code := n.P.MemBase
 	data := n.P.MemBase + 1<<30

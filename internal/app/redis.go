@@ -25,7 +25,7 @@ const (
 
 // NewRedis builds a Redis instance.
 func NewRedis(m *platform.Machine, port int, seed int64) *Redis {
-	r := &Redis{Base: newBase("redis", m, port, seed), ValueBytes: 1024}
+	r := &Redis{Base: NewBase("redis", m, port, seed), ValueBytes: 1024}
 	datasetBytes := 100_000 * (r.ValueBytes + 96)
 	code := r.P.MemBase
 	data := r.P.MemBase + 1<<30

@@ -97,7 +97,7 @@ func NewTier(m *platform.Machine, cfg TierConfig, body Body) *Tier {
 		cfg.RespBytes = 512
 	}
 	t := &Tier{
-		Base: newBase(cfg.Name, m, cfg.Port, cfg.Seed),
+		Base: NewBase(cfg.Name, m, cfg.Port, cfg.Seed),
 		Cfg:  cfg, Body: body,
 		rng:      stats.NewRand(cfg.Seed ^ 0x7349),
 		conns:    map[*kernel.Thread]map[string]*kernel.Endpoint{},

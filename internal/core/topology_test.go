@@ -11,10 +11,10 @@ import (
 // buildSpans fabricates traces: frontend → svc-b always; svc-b → svc-c with
 // probability 0.4 on kind 1 only.
 func buildSpans(n int) []dtrace.Span {
-	c := dtrace.NewCollector(1)
+	a := dtrace.NewCollector(1).Arm(1)
 	var spans []dtrace.Span
 	rec := func(s dtrace.Span) {
-		c.Record(s)
+		a.Record(s)
 		spans = append(spans, s)
 	}
 	for i := 0; i < n; i++ {
@@ -23,15 +23,15 @@ func buildSpans(n int) []dtrace.Span {
 		if kind == 1 {
 			op = "read-home-timeline"
 		}
-		tr := c.StartTrace()
-		root := dtrace.Span{Trace: tr, ID: c.NextSpanID(), Service: "frontend",
+		tr := a.StartTrace()
+		root := dtrace.Span{Trace: tr, ID: a.NextSpanID(), Service: "frontend",
 			Operation: op, ReqBytes: 128, RespBytes: 1024}
 		rec(root)
-		child := dtrace.Span{Trace: tr, ID: c.NextSpanID(), Parent: root.ID,
+		child := dtrace.Span{Trace: tr, ID: a.NextSpanID(), Parent: root.ID,
 			Service: "svc-b", Operation: op, ReqBytes: 256, RespBytes: 512}
 		rec(child)
 		if kind == 1 && i%5 < 2 { // 40% of kind-1 requests
-			rec(dtrace.Span{Trace: tr, ID: c.NextSpanID(), Parent: child.ID,
+			rec(dtrace.Span{Trace: tr, ID: a.NextSpanID(), Parent: child.ID,
 				Service: "svc-c", Operation: op, ReqBytes: 64, RespBytes: 256})
 		}
 	}

@@ -13,7 +13,6 @@ package cpu
 import (
 	"ditto/internal/branch"
 	"ditto/internal/cache"
-	"ditto/internal/isa"
 	"ditto/internal/sim"
 )
 
@@ -155,8 +154,8 @@ func (c *Counters) KernelShare() float64 {
 
 // Core is one logical execution context. It owns warm micro-architectural
 // state (caches via Config, predictor, coherence RNG) that persists across
-// Execute calls, which is what makes consecutive bursts of the same thread
-// cheaper than cold starts.
+// ExecuteTrace calls, which is what makes consecutive bursts of the same
+// thread cheaper than cold starts.
 type Core struct {
 	cfg  Config
 	pred *branch.Predictor
@@ -170,9 +169,6 @@ type Core struct {
 	// scenario sets it mid-run; cycle counts are unaffected, only how long
 	// they take, which is exactly what frequency throttling does.
 	throttle float64
-	// scratch is the reusable decode buffer Execute uses for uncached
-	// streams; cached streams carry their own pre-decoded Trace.
-	scratch Trace
 }
 
 // NewCore builds a core from cfg.
@@ -250,17 +246,6 @@ type Result struct {
 func (c *Core) Time(cycles float64) sim.Time {
 	ns := cycles / (c.cfg.FreqGHz * c.throttle)
 	return sim.Time(ns * float64(sim.Nanosecond))
-}
-
-// Execute runs one dynamic instruction stream to completion and returns
-// consumed cycles plus counter deltas. The timeline is local to the burst;
-// cache and predictor state persist across bursts. It is a thin wrapper for
-// uncached streams: the static pass decodes into the core's reusable
-// scratch trace, then the dynamic pass runs. Streams executed repeatedly
-// should be decoded once with NewTrace and run via ExecuteTrace instead.
-func (c *Core) Execute(stream []isa.Instr) Result {
-	c.scratch.Decode(stream)
-	return c.ExecuteTrace(&c.scratch)
 }
 
 // countAccess attributes one hierarchy access to the per-level counters.

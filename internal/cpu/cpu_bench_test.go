@@ -7,13 +7,16 @@ import (
 )
 
 // BenchmarkExecuteALU measures simulator throughput on a pure ALU stream —
-// the upper bound on simulation speed.
+// the upper bound on simulation speed. Each op decodes the stream into a
+// reused trace and executes it, the path of a stream that is not cached.
 func BenchmarkExecuteALU(b *testing.B) {
 	c := testCore()
 	stream := independentALU(4096)
+	var tr Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Execute(stream)
+		tr.Decode(stream)
+		c.ExecuteTrace(&tr)
 	}
 	b.ReportMetric(float64(len(stream)), "instrs/op")
 }
@@ -46,7 +49,8 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkExecuteMemHeavy measures throughput with cache-hierarchy walks
-// on every third instruction — the realistic workload shape.
+// on every third instruction — the realistic workload shape. Like
+// BenchmarkExecuteALU, each op decodes and then executes.
 func BenchmarkExecuteMemHeavy(b *testing.B) {
 	c := testCore()
 	stream := make([]isa.Instr, 4096)
@@ -61,9 +65,11 @@ func BenchmarkExecuteMemHeavy(b *testing.B) {
 				BranchID: -1}
 		}
 	}
+	var tr Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Execute(stream)
+		tr.Decode(stream)
+		c.ExecuteTrace(&tr)
 	}
 	b.ReportMetric(float64(len(stream)), "instrs/op")
 }

@@ -23,6 +23,9 @@ func testCore() *Core {
 	})
 }
 
+// execute decodes s and runs it on c.
+func execute(c *Core, s []isa.Instr) Result { return c.ExecuteTrace(NewTrace(s)) }
+
 // independentALU builds n adds across 8 rotating destination registers with
 // sequential PCs in one line-sized loop (tiny i-footprint).
 func independentALU(n int) []isa.Instr {
@@ -42,7 +45,7 @@ func independentALU(n int) []isa.Instr {
 
 func TestIndependentALUNearWidth(t *testing.T) {
 	c := testCore()
-	res := c.Execute(independentALU(20000))
+	res := execute(c, independentALU(20000))
 	ipc := res.Counters.IPC()
 	if ipc < 3.0 || ipc > 4.2 {
 		t.Fatalf("independent ALU IPC = %v, want near issue width 4", ipc)
@@ -57,12 +60,12 @@ func TestDependencyChainSerializes(t *testing.T) {
 		s[i] = isa.Instr{Op: isa.ADDrr, PC: 0x400000 + uint64(i%16)*4,
 			Dst: isa.R1, Src1: isa.R1, Src2: isa.R1, BranchID: -1}
 	}
-	res := c.Execute(s)
+	res := execute(c, s)
 	ipc := res.Counters.IPC()
 	if ipc > 1.1 {
 		t.Fatalf("serial chain IPC = %v, want ≤ ~1", ipc)
 	}
-	indep := c.Execute(independentALU(n))
+	indep := execute(c, independentALU(n))
 	if indep.Counters.IPC() <= ipc {
 		t.Fatal("independent stream should beat serial chain")
 	}
@@ -76,8 +79,8 @@ func TestPortContention(t *testing.T) {
 		crc[i] = isa.Instr{Op: isa.CRC32rr, PC: 0x400000 + uint64(i%16)*4,
 			Dst: isa.Reg(i % 8), Src1: isa.Reg(i % 8), Src2: isa.Reg((i + 3) % 8), BranchID: -1}
 	}
-	resCRC := c.Execute(crc)
-	resADD := c.Execute(independentALU(n))
+	resCRC := execute(c, crc)
+	resADD := execute(c, independentALU(n))
 	// CRC32 is port-1-only: throughput ≤ 1/cycle vs ~4/cycle for adds.
 	if resCRC.Counters.IPC() > 1.2 {
 		t.Fatalf("port-1-only stream IPC = %v, want ≤ ~1", resCRC.Counters.IPC())
@@ -99,7 +102,7 @@ func TestPointerChaseMLP(t *testing.T) {
 			Dst: isa.R11, Src1: isa.R11,
 			Addr: uint64(i*8192) % (64 << 20), BranchID: -1}
 	}
-	resChase := c.Execute(chase)
+	resChase := execute(c, chase)
 
 	c2 := testCore()
 	// Same addresses, but independent loads: MLP overlaps misses.
@@ -109,7 +112,7 @@ func TestPointerChaseMLP(t *testing.T) {
 			Dst: isa.Reg(i % 8), Src1: isa.R10,
 			Addr: uint64(i*8192) % (64 << 20), BranchID: -1}
 	}
-	resIndep := c2.Execute(indep)
+	resIndep := execute(c2, indep)
 	if resChase.Cycles < 2*resIndep.Cycles {
 		t.Fatalf("pointer chasing should serialize misses: chase=%v indep=%v",
 			resChase.Cycles, resIndep.Cycles)
@@ -132,7 +135,7 @@ func TestBranchMispredictionCost(t *testing.T) {
 				s[i].PC = 0x400000 + uint64(i%16)*4
 			}
 		}
-		res := c.Execute(s)
+		res := execute(c, s)
 		return res.Counters.IPC()
 	}
 	biased := mk(func(i int) bool { return true })
@@ -155,7 +158,7 @@ func TestICacheFootprint(t *testing.T) {
 			s[i] = isa.Instr{Op: isa.ADDrr, PC: 0x400000 + (uint64(i)*4)%footprint,
 				Dst: isa.Reg(i % 8), Src1: isa.Reg(i % 8), Src2: isa.Reg((i + 1) % 8), BranchID: -1}
 		}
-		return c.Execute(s).Counters
+		return execute(c, s).Counters
 	}
 	small := run(1 << 10)   // 1KB loop: fits L1i
 	large := run(256 << 10) // 256KB loop: thrashes 32KB L1i
@@ -183,7 +186,7 @@ func TestDCacheWorkingSets(t *testing.T) {
 				Dst: isa.Reg(i % 8), Src1: isa.R10,
 				Addr: 0x10000000 + (uint64(i)*64)%ws, BranchID: -1}
 		}
-		return c.Execute(s).Counters
+		return execute(c, s).Counters
 	}
 	small := run(16 << 10) // fits L1d
 	big := run(16 << 20)   // exceeds LLC
@@ -220,7 +223,7 @@ func TestTopDownSumsToCycles(t *testing.T) {
 				Dst: isa.Reg(i % 8), Src1: isa.Reg(i % 8), Src2: isa.Reg((i + 1) % 8), BranchID: -1})
 		}
 	}
-	res := c.Execute(s)
+	res := execute(c, s)
 	ctr := res.Counters
 	sum := ctr.Retiring + ctr.Frontend + ctr.BadSpec + ctr.Backend
 	if math.Abs(sum-ctr.Cycles) > 1e-6*ctr.Cycles+1e-6 {
@@ -237,7 +240,7 @@ func TestRepStringOps(t *testing.T) {
 	c := testCore()
 	s := []isa.Instr{{Op: isa.REPMOVSB, PC: 0x400000, Addr: 0x30000000,
 		RepCount: 4096, BranchID: -1}}
-	res := c.Execute(s)
+	res := execute(c, s)
 	if res.Counters.L1dAcc < 64 {
 		t.Fatalf("4KB rep movsb should access 64 lines, got %d", res.Counters.L1dAcc)
 	}
@@ -261,7 +264,7 @@ func TestCoherenceInvalidation(t *testing.T) {
 				Addr:   0x40000000 + (uint64(i)*64)%(4<<10), // tiny hot set
 				Shared: true, BranchID: -1}
 		}
-		res := c.Execute(s)
+		res := execute(c, s)
 		return res.Counters.L1dMissRate()
 	}
 	private := run(0)
@@ -277,7 +280,7 @@ func TestKernelShareAndCountersAdd(t *testing.T) {
 	for i := 50; i < 100; i++ {
 		s[i].Kernel = true
 	}
-	res := c.Execute(s)
+	res := execute(c, s)
 	if got := res.Counters.KernelShare(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("KernelShare = %v", got)
 	}
@@ -297,8 +300,8 @@ func TestSMTFactorSlowsCore(t *testing.T) {
 	shared := testCore()
 	shared.SetSMTFactor(0.5)
 	s := independentALU(20000)
-	a := alone.Execute(s)
-	b := shared.Execute(append([]isa.Instr(nil), s...))
+	a := execute(alone, s)
+	b := execute(shared, append([]isa.Instr(nil), s...))
 	if b.Cycles < 1.5*a.Cycles {
 		t.Fatalf("SMT sharing should roughly halve throughput: alone=%v shared=%v", a.Cycles, b.Cycles)
 	}
@@ -322,8 +325,8 @@ func TestCountersRatesEmpty(t *testing.T) {
 
 func TestExecuteDeterminism(t *testing.T) {
 	s := independentALU(5000)
-	a := testCore().Execute(append([]isa.Instr(nil), s...))
-	b := testCore().Execute(append([]isa.Instr(nil), s...))
+	a := execute(testCore(), append([]isa.Instr(nil), s...))
+	b := execute(testCore(), append([]isa.Instr(nil), s...))
 	if a.Cycles != b.Cycles || a.Counters != b.Counters {
 		t.Fatal("identical cores and streams must produce identical results")
 	}
@@ -336,10 +339,10 @@ func TestContextSwitchPollutesCaches(t *testing.T) {
 		warm[i] = isa.Instr{Op: isa.MOVload, PC: 0x400000 + uint64(i%16)*4,
 			Dst: isa.R3, Src1: isa.R10, Addr: 0x50000000 + (uint64(i)*64)%(8<<10), BranchID: -1}
 	}
-	c.Execute(warm)
-	res1 := c.Execute(append([]isa.Instr(nil), warm...))
+	execute(c, warm)
+	res1 := execute(c, append([]isa.Instr(nil), warm...))
 	c.ContextSwitch()
-	res2 := c.Execute(append([]isa.Instr(nil), warm...))
+	res2 := execute(c, append([]isa.Instr(nil), warm...))
 	if res2.Counters.L1dMiss <= res1.Counters.L1dMiss {
 		t.Fatalf("context switch should add misses: %d vs %d",
 			res2.Counters.L1dMiss, res1.Counters.L1dMiss)
@@ -355,8 +358,8 @@ func TestHaswellSlowerThanSkylake(t *testing.T) {
 			DCache: &cache.Hierarchy{Caches: [3]*cache.Cache{l1d, nil, nil}, MemLatency: 200}})
 	}
 	s := independentALU(20000)
-	sky := mk(Skylake).Execute(append([]isa.Instr(nil), s...))
-	has := mk(Haswell).Execute(append([]isa.Instr(nil), s...))
+	sky := execute(mk(Skylake), append([]isa.Instr(nil), s...))
+	has := execute(mk(Haswell), append([]isa.Instr(nil), s...))
 	if has.Counters.IPC() >= sky.Counters.IPC() {
 		t.Fatalf("Haswell IPC %v should trail Skylake %v", has.Counters.IPC(), sky.Counters.IPC())
 	}

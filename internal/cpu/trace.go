@@ -8,10 +8,10 @@ import (
 )
 
 // This file implements the decoded-trace representation: a one-time static
-// pass over an instruction stream that precomputes everything Execute's
-// per-instruction loop used to re-derive on every run — iform uops, ports
-// and latencies, fetch-line-change boundaries, branch/memory markers — into
-// a dense struct-of-arrays. ExecuteTrace then touches only dynamic state
+// pass over an instruction stream that precomputes everything the
+// per-instruction loop would otherwise re-derive on every run — iform uops,
+// ports and latencies, fetch-line-change boundaries, branch/memory markers —
+// into a dense struct-of-arrays. ExecuteTrace then touches only dynamic state
 // (caches, predictor, ports, ROB, registers), which is what makes replaying
 // a cached stream cheap: the stream is decoded once when it enters a cache
 // (kernel kstream variants, app request-stream variants) and executed
@@ -192,9 +192,12 @@ func (tr *Trace) Decode(stream []isa.Instr) {
 // therefore always holds 0, a no-op under max with a non-negative clock.
 const regSink isa.Reg = 0xFE
 
-// ExecuteTrace runs a decoded stream to completion — the dynamic pass. It
-// is result-identical to Execute on the trace's source stream: the same
-// counters, the same cycle count, the same RNG draw sequence.
+// ExecuteTrace runs a decoded stream to completion — the dynamic pass, and
+// the core's one entry point — and returns consumed cycles plus counter
+// deltas. The timeline is local to the burst; cache and predictor state
+// persist across calls. A Trace re-decoded in place runs result-identically
+// to a fresh NewTrace of the same stream: the same counters, the same cycle
+// count, the same RNG draw sequence.
 //
 // The loop body works on locals: the trace's parallel arrays are re-sliced
 // to a common length so bounds checks vanish and the register/port

@@ -66,12 +66,17 @@ func mixedStream(n int, seed uint64) []isa.Instr {
 	return s
 }
 
-// TestExecuteTraceMatchesExecute proves the two-pass core is observationally
-// identical to executing the raw stream: same counters, same cycles, on
-// warm and cold micro-architectural state.
-func TestExecuteTraceMatchesExecute(t *testing.T) {
+// TestDecodeReuseMatchesFreshTrace proves that re-decoding a trace in place
+// leaves nothing of the previous stream behind: a trace that first held a
+// longer, different stream executes bit-identically to a fresh NewTrace of
+// the new stream — same counters, same cycles, on warm and cold
+// micro-architectural state. Per-thread payload-copy tails and the LLC
+// stressor's refilled bursts rely on this.
+func TestDecodeReuseMatchesFreshTrace(t *testing.T) {
 	stream := mixedStream(20000, 0x9E3779B97F4A7C15)
-	tr := NewTrace(stream)
+	fresh := NewTrace(stream)
+	reused := NewTrace(mixedStream(30000, 0xC0FFEE))
+	reused.Decode(stream)
 
 	a, b := testCore(), testCore()
 	// Set a coherence rate so the shared-access RNG path is exercised; both
@@ -79,10 +84,10 @@ func TestExecuteTraceMatchesExecute(t *testing.T) {
 	a.SetCoherenceInvRate(0.3)
 	b.SetCoherenceInvRate(0.3)
 	for round := 0; round < 3; round++ {
-		ra := a.Execute(stream)
-		rb := b.ExecuteTrace(tr)
+		ra := a.ExecuteTrace(fresh)
+		rb := b.ExecuteTrace(reused)
 		if ra != rb {
-			t.Fatalf("round %d: Execute != ExecuteTrace\n  raw:     %+v\n  decoded: %+v",
+			t.Fatalf("round %d: re-decoded trace != fresh trace\n  fresh:  %+v\n  reused: %+v",
 				round, ra, rb)
 		}
 	}

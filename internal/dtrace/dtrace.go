@@ -47,27 +47,20 @@ func (s Span) Duration() sim.Time { return s.End - s.Start }
 // Collector samples and stores traces. Sampling keeps 1-in-N traces, the
 // low-overhead configuration the paper assumes for production tracing.
 //
-// The sampling decision is pure arithmetic over the monotonically-assigned
-// trace ids — every sampleEvery-th id is kept — so StartTrace and Record
-// allocate nothing: the span-record hot path stays allocation-free once the
-// span store has warmed up (or been sized with Reserve).
-//
-// A Collector used from a sharded simulation must be touched only through
-// per-shard Arms (see Arm): the collector's own counters and span store are
-// single-timeline state, while each arm is owned by one machine's shard.
+// Spans are recorded only through per-shard Arms (see Arm): each arm owns
+// its id counters and span buffer, while the collector holds the sampling
+// rate and the arm registry. The sampling decision is pure arithmetic over
+// the monotonically-assigned trace ids — every sampleEvery-th id is kept —
+// so StartTrace and Record allocate nothing: the span-record hot path stays
+// allocation-free once an arm's span buffer has warmed up.
 type Collector struct {
 	sampleEvery int
-	nextTrace   uint64
-	nextSpan    uint64
-	floorTrace  uint64 // traces at or below this id predate the last Reset
-	spans       []Span
 	arms        map[uint64]*Arm
 	armKeys     []uint64 // registered arm keys, kept sorted
 }
 
 // armShift partitions trace and span ids: the top bits carry the arm key,
-// the low armShift bits a per-arm sequence. Key 0 is the collector's own
-// (legacy) id space.
+// the low armShift bits a per-arm sequence.
 const armShift = 40
 
 // Arm is one shard-local recording surface of a shared Collector. Every
@@ -81,7 +74,7 @@ type Arm struct {
 	key        uint64
 	nextTrace  uint64
 	nextSpan   uint64
-	floorTrace uint64
+	floorTrace uint64 // traces at or below this id predate the last Reset
 	spans      []Span
 }
 
@@ -110,7 +103,8 @@ func (c *Collector) Arm(key uint64) *Arm {
 	return a
 }
 
-// StartTrace allocates an arm-prefixed trace id.
+// StartTrace allocates an arm-prefixed trace id; its sampling fate is a
+// deterministic function of the id.
 // ditto:noalloc
 func (a *Arm) StartTrace() TraceID {
 	a.nextTrace++
@@ -144,72 +138,27 @@ func NewCollector(sampleEvery int) *Collector {
 	return &Collector{sampleEvery: sampleEvery}
 }
 
-// StartTrace allocates a trace id; its sampling fate is a deterministic
-// function of the id.
-// ditto:noalloc
-func (c *Collector) StartTrace() TraceID {
-	c.nextTrace++
-	return TraceID(c.nextTrace)
-}
-
 // isSampled reports the sampling decision for a trace id: every
-// sampleEvery-th id started after the owning id space's last Reset is kept.
-// Arm-prefixed ids resolve their own floor; the arms map is immutable during
-// a run, so this is safe from any shard.
+// sampleEvery-th id started after the owning arm's last Reset is kept. The
+// arms map is immutable during a run, so this is safe from any shard.
 func (c *Collector) isSampled(id TraceID) bool {
+	a := c.arms[uint64(id)>>armShift]
+	if a == nil {
+		return false
+	}
 	seq := uint64(id) & (1<<armShift - 1)
-	floor := c.floorTrace
-	if key := uint64(id) >> armShift; key != 0 {
-		a := c.arms[key]
-		if a == nil {
-			return false
-		}
-		floor = a.floorTrace
-	}
-	return seq > floor && seq%uint64(c.sampleEvery) == 0
+	return seq > a.floorTrace && seq%uint64(c.sampleEvery) == 0
 }
 
-// NextSpanID allocates a span id.
-// ditto:noalloc
-func (c *Collector) NextSpanID() SpanID {
-	c.nextSpan++
-	return SpanID(c.nextSpan)
-}
-
-// Record stores a span if its trace is sampled. Growth is amortized away
-// by Reserve; the steady-state append reuses capacity.
-// ditto:noalloc
-func (c *Collector) Record(s Span) {
-	if c.isSampled(s.Trace) {
-		c.spans = append(c.spans, s)
-	}
-}
-
-// Reserve grows the span store to hold at least n spans without further
-// allocation — how long-running harnesses keep Record off the allocator.
-func (c *Collector) Reserve(n int) {
-	if cap(c.spans)-len(c.spans) < n {
-		grown := make([]Span, len(c.spans), len(c.spans)+n)
-		copy(grown, c.spans)
-		c.spans = grown
-	}
-}
-
-// Spans returns the collected spans: the collector's own buffer followed by
-// each arm's buffer in ascending key order, each in record order. The
-// concatenation is deterministic whatever interleaving the shards ran with.
-// Without arms the slice aliases the collector's storage; with arms it is a
-// fresh copy. Either way it is invalidated by Reset.
+// Spans returns the collected spans: each arm's buffer in ascending key
+// order, each in record order. The concatenation is deterministic whatever
+// interleaving the shards ran with. The slice is a fresh copy.
 func (c *Collector) Spans() []Span {
-	if len(c.arms) == 0 {
-		return c.spans
-	}
-	n := len(c.spans)
+	n := 0
 	for _, key := range c.armKeys {
 		n += len(c.arms[key].spans)
 	}
 	out := make([]Span, 0, n)
-	out = append(out, c.spans...)
 	for _, key := range c.armKeys {
 		out = append(out, c.arms[key].spans...)
 	}
@@ -228,8 +177,6 @@ func (c *Collector) Traces() map[TraceID][]Span {
 // Reset drops collected spans but keeps id counters monotonic. Storage is
 // retained for reuse; traces started before the Reset are no longer sampled.
 func (c *Collector) Reset() {
-	c.spans = c.spans[:0]
-	c.floorTrace = c.nextTrace
 	for _, key := range c.armKeys {
 		a := c.arms[key]
 		a.spans = a.spans[:0]

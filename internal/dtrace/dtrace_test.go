@@ -8,19 +8,20 @@ import (
 	"ditto/internal/sim"
 )
 
-func mkSpan(c *Collector, trace TraceID, parent SpanID, svc string) Span {
-	s := Span{Trace: trace, ID: c.NextSpanID(), Parent: parent, Service: svc,
+func mkSpan(a *Arm, trace TraceID, parent SpanID, svc string) Span {
+	s := Span{Trace: trace, ID: a.NextSpanID(), Parent: parent, Service: svc,
 		Start: 0, End: sim.Millisecond}
-	c.Record(s)
+	a.Record(s)
 	return s
 }
 
 func TestCollectorSampling(t *testing.T) {
 	c := NewCollector(3)
+	a := c.Arm(1)
 	kept := 0
 	for i := 0; i < 30; i++ {
-		tr := c.StartTrace()
-		mkSpan(c, tr, 0, "frontend")
+		tr := a.StartTrace()
+		mkSpan(a, tr, 0, "frontend")
 	}
 	kept = len(c.Spans())
 	if kept != 10 {
@@ -31,8 +32,9 @@ func TestCollectorSampling(t *testing.T) {
 		t.Fatal("reset did not clear spans")
 	}
 	full := NewCollector(0) // clamps to 1
-	tr := full.StartTrace()
-	mkSpan(full, tr, 0, "a")
+	fa := full.Arm(1)
+	tr := fa.StartTrace()
+	mkSpan(fa, tr, 0, "a")
 	if len(full.Spans()) != 1 {
 		t.Fatal("sampleEvery 1 should keep everything")
 	}
@@ -43,51 +45,86 @@ func TestCollectorSampling(t *testing.T) {
 // while ids stay monotonic.
 func TestResetRetainsStorageAndResamples(t *testing.T) {
 	c := NewCollector(1)
-	pre := c.StartTrace()
-	mkSpan(c, pre, 0, "a")
+	a := c.Arm(1)
+	pre := a.StartTrace()
+	mkSpan(a, pre, 0, "a")
+	storage := cap(a.spans)
 	c.Reset()
 	if len(c.Spans()) != 0 {
 		t.Fatal("reset did not clear spans")
 	}
-	c.Record(Span{Trace: pre, ID: c.NextSpanID(), Service: "a"})
+	if cap(a.spans) != storage {
+		t.Fatalf("reset dropped the span buffer: cap %d, want %d", cap(a.spans), storage)
+	}
+	a.Record(Span{Trace: pre, ID: a.NextSpanID(), Service: "a"})
 	if len(c.Spans()) != 0 {
 		t.Fatal("trace started before Reset must not be sampled after it")
 	}
-	post := c.StartTrace()
+	post := a.StartTrace()
 	if post <= pre {
 		t.Fatalf("trace ids must stay monotonic across Reset: %d <= %d", post, pre)
 	}
-	mkSpan(c, post, 0, "a")
+	mkSpan(a, post, 0, "a")
 	if len(c.Spans()) != 1 {
 		t.Fatal("trace started after Reset must be sampled")
 	}
 }
 
-// TestRecordPathAllocationFree guards the no-resilience span path: with the
-// span store pre-sized, StartTrace + NextSpanID + Record must not allocate.
+// TestRecordPathAllocationFree guards the no-resilience span path: once an
+// arm's span buffer has warmed up, and across a Reset (which keeps its
+// capacity), StartTrace + NextSpanID + Record must not allocate.
 func TestRecordPathAllocationFree(t *testing.T) {
 	c := NewCollector(1)
-	c.Reserve(200)
-	allocs := testing.AllocsPerRun(100, func() {
-		tr := c.StartTrace()
-		s := Span{Trace: tr, ID: c.NextSpanID(), Service: "svc",
+	a := c.Arm(1)
+	record := func() {
+		tr := a.StartTrace()
+		s := Span{Trace: tr, ID: a.NextSpanID(), Service: "svc",
 			Operation: "get", Start: 0, End: sim.Millisecond,
 			ReqBytes: 128, RespBytes: 4096}
-		c.Record(s)
-	})
-	if allocs != 0 {
+		a.Record(s)
+	}
+	for i := 0; i < 200; i++ {
+		record()
+	}
+	c.Reset()
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
 		t.Fatalf("span record path allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestArmsConcatenateInKeyOrder: Spans lists each arm's buffer in ascending
+// key order whatever order the arms were registered and recorded in, and a
+// span of a trace started on another arm is sampled by that arm's id.
+func TestArmsConcatenateInKeyOrder(t *testing.T) {
+	c := NewCollector(2)
+	hi, lo := c.Arm(7), c.Arm(3)
+	for i := 0; i < 4; i++ {
+		tr := lo.StartTrace()
+		mkSpan(hi, tr, 0, "backend")
+		mkSpan(lo, tr, 0, "frontend")
+	}
+	var got []string
+	for _, s := range c.Spans() {
+		got = append(got, fmt.Sprintf("%s@%d", s.Service, uint64(s.Trace)&(1<<armShift-1)))
+	}
+	want := "[frontend@2 frontend@4 backend@2 backend@4]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("spans = %v, want %s", got, want)
+	}
+	if c.Arm(3) != lo {
+		t.Fatal("Arm must return the registered arm for a known key")
 	}
 }
 
 func TestBuildGraph(t *testing.T) {
 	c := NewCollector(1)
+	a := c.Arm(1)
 	for i := 0; i < 10; i++ {
-		tr := c.StartTrace()
-		root := mkSpan(c, tr, 0, "frontend")
-		child := mkSpan(c, tr, root.ID, "svc-b")
+		tr := a.StartTrace()
+		root := mkSpan(a, tr, 0, "frontend")
+		child := mkSpan(a, tr, root.ID, "svc-b")
 		if i < 5 {
-			mkSpan(c, tr, child.ID, "svc-c")
+			mkSpan(a, tr, child.ID, "svc-c")
 		}
 	}
 	g := BuildGraph(c.Spans())
@@ -125,8 +162,9 @@ func TestGraphCycleDetection(t *testing.T) {
 
 func TestOrphanSpanBecomesRoot(t *testing.T) {
 	c := NewCollector(1)
-	tr := c.StartTrace()
-	c.Record(Span{Trace: tr, ID: c.NextSpanID(), Parent: 9999, Service: "lost"})
+	a := c.Arm(1)
+	tr := a.StartTrace()
+	a.Record(Span{Trace: tr, ID: a.NextSpanID(), Parent: 9999, Service: "lost"})
 	g := BuildGraph(c.Spans())
 	if len(g.Roots) != 1 || g.Roots[0] != "lost" {
 		t.Fatalf("orphan should be a root: %v", g.Roots)
@@ -135,11 +173,12 @@ func TestOrphanSpanBecomesRoot(t *testing.T) {
 
 func TestTraces(t *testing.T) {
 	c := NewCollector(1)
-	t1 := c.StartTrace()
-	t2 := c.StartTrace()
-	mkSpan(c, t1, 0, "a")
-	mkSpan(c, t1, 0, "b")
-	mkSpan(c, t2, 0, "a")
+	a := c.Arm(1)
+	t1 := a.StartTrace()
+	t2 := a.StartTrace()
+	mkSpan(a, t1, 0, "a")
+	mkSpan(a, t1, 0, "b")
+	mkSpan(a, t2, 0, "a")
 	byTrace := c.Traces()
 	if len(byTrace) != 2 || len(byTrace[t1]) != 2 || len(byTrace[t2]) != 1 {
 		t.Fatalf("traces = %v", byTrace)
@@ -160,7 +199,8 @@ func TestSpanDuration(t *testing.T) {
 func TestBuildGraphLayeredProperty(t *testing.T) {
 	f := func(links []uint8) bool {
 		c := NewCollector(1)
-		tr := c.StartTrace()
+		a := c.Arm(1)
+		tr := a.StartTrace()
 		type rec struct {
 			id    SpanID
 			depth int
@@ -177,8 +217,8 @@ func TestBuildGraphLayeredProperty(t *testing.T) {
 			}
 			svc := fmt.Sprintf("svc%d", depth) // one service per depth: layered DAG
 			services[svc] = true
-			s := Span{Trace: tr, ID: c.NextSpanID(), Parent: parent, Service: svc}
-			c.Record(s)
+			s := Span{Trace: tr, ID: a.NextSpanID(), Parent: parent, Service: svc}
+			a.Record(s)
 			spans = append(spans, rec{id: s.ID, depth: depth})
 		}
 		g := BuildGraph(c.Spans())
@@ -203,26 +243,27 @@ func TestBuildGraphLayeredProperty(t *testing.T) {
 // on healthy edges.
 func TestBuildGraphDegradedEdges(t *testing.T) {
 	c := NewCollector(1)
-	tr := c.StartTrace()
-	root := Span{Trace: tr, ID: c.NextSpanID(), Service: "frontend"}
-	c.Record(root)
+	a := c.Arm(1)
+	tr := a.StartTrace()
+	root := Span{Trace: tr, ID: a.NextSpanID(), Service: "frontend"}
+	a.Record(root)
 
 	// frontend → compose: first delivery fails, retry succeeds, plus one
 	// hedged duplicate of the retry.
-	compose0 := Span{Trace: tr, ID: c.NextSpanID(), Parent: root.ID,
+	compose0 := Span{Trace: tr, ID: a.NextSpanID(), Parent: root.ID,
 		Service: "compose", Attempt: 0, Failed: true}
-	compose1 := Span{Trace: tr, ID: c.NextSpanID(), Parent: root.ID,
+	compose1 := Span{Trace: tr, ID: a.NextSpanID(), Parent: root.ID,
 		Service: "compose", Attempt: 1}
-	composeH := Span{Trace: tr, ID: c.NextSpanID(), Parent: root.ID,
+	composeH := Span{Trace: tr, ID: a.NextSpanID(), Parent: root.ID,
 		Service: "compose", Attempt: 1, Hedged: true}
-	c.Record(compose0)
-	c.Record(compose1)
-	c.Record(composeH)
+	a.Record(compose0)
+	a.Record(compose1)
+	a.Record(composeH)
 
 	// compose → storage: one clean invocation under the successful retry.
-	storage := Span{Trace: tr, ID: c.NextSpanID(), Parent: compose1.ID,
+	storage := Span{Trace: tr, ID: a.NextSpanID(), Parent: compose1.ID,
 		Service: "storage"}
-	c.Record(storage)
+	a.Record(storage)
 
 	g := BuildGraph(c.Spans())
 	if !g.IsAcyclic() {

@@ -56,10 +56,12 @@ func StartLLCStressor(m *platform.Machine, threads, wsBytes int) *kernel.Proc {
 		p.Spawn(fmt.Sprintf("hammer-%d", th), func(t *kernel.Thread) {
 			base := p.MemBase + uint64(th)<<34
 			stream := make([]isa.Instr, stressorBurst)
+			var tr cpu.Trace // re-decoded in place after every refill
 			cursor := uint64(0)
 			for {
 				cursor = fillLLCBurst(stream, base, cursor, wsBytes)
-				t.Run(stream)
+				tr.Decode(stream)
+				t.RunTrace(&tr)
 				t.Yield() // stay preemptible
 			}
 		})

@@ -3,6 +3,7 @@ package interfere
 import (
 	"testing"
 
+	"ditto/internal/cpu"
 	"ditto/internal/isa"
 	"ditto/internal/kernel"
 	"ditto/internal/platform"
@@ -29,6 +30,7 @@ func TestLLCStressorEvictsVictimLines(t *testing.T) {
 			// hits once warm; under the stressor its lines are evicted.
 			const ws = 2 << 20
 			stream := make([]isa.Instr, 4096)
+			var tr cpu.Trace
 			state := uint64(0xBEEF)
 			for round := 0; round < 24; round++ {
 				for i := range stream {
@@ -41,7 +43,8 @@ func TestLLCStressorEvictsVictimLines(t *testing.T) {
 						Addr:     victim.MemBase + state*0x2545F4914F6CDD1D%ws&^63,
 						BranchID: -1}
 				}
-				th.Run(stream)
+				tr.Decode(stream)
+				th.RunTrace(&tr)
 				th.Yield()
 			}
 		})

@@ -102,8 +102,9 @@ func (t *Thread) syscallEnterOff(op SyscallOp, bytes int, off int64, fdClass str
 		t.tail[0] = isa.Instr{Op: isa.REPMOVSB, PC: kernelTextBase + uint64(op)<<20,
 			Addr: t.Proc.MemBase + 1<<30, RepCount: int32(bytes), BranchID: -1,
 			Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Kernel: true}
+		t.tailTrace.Decode(t.tail[:])
 		t.itemBuf[0] = burstItem{trace: tr}
-		t.itemBuf[1] = burstItem{stream: t.tail[:]}
+		t.itemBuf[1] = burstItem{trace: &t.tailTrace}
 		t.compute(t.itemBuf[:2])
 		return
 	}

@@ -116,9 +116,9 @@ type ExecSampler interface {
 // the SDE/SystemTap observation surface always sees full execution.
 func (k *Kernel) SetSampler(s ExecSampler) { k.sampler = s }
 
-// execTrace is the single choke point for cached-trace execution — app
-// request bodies via RunTrace, kernel syscall streams, and the ctx-switch
-// stream all pass through it, which is what gives sampled mode its parity
+// execTrace is the single choke point for execution — app request bodies
+// via RunTrace, kernel syscall streams and their payload-copy tails, and
+// the ctx-switch stream all pass through it, which is what gives sampled mode its parity
 // across user and kernel instruction streams. The second return reports
 // whether the trace actually executed (false: the result was modeled), so
 // callers can gate per-instruction observation to executed samples.
@@ -257,6 +257,7 @@ type Thread struct {
 	lastWakeSrc string
 
 	tail       [1]isa.Instr // reusable payload-copy instruction
+	tailTrace  cpu.Trace    // tail, decoded; ClassNone, so never sampled
 	timerFn    func()       // reusable timer-wake closure (Sleep, RecvTimeout)
 	dispatchFn func()       // reusable wake->dispatch event closure
 
@@ -411,12 +412,9 @@ func (k *Kernel) Stop() {
 
 // ---- Scheduler ----
 
-// burstItem is one stream of a burst, either pre-decoded (cached kernel and
-// request streams) or raw (ad-hoc streams, decoded into the core's scratch
-// at execution time).
+// burstItem is one decoded stream of a burst.
 type burstItem struct {
 	trace   *cpu.Trace
-	stream  []isa.Instr
 	observe bool // user-level trace: report to the proc's instruction observer when executed
 }
 
@@ -474,26 +472,20 @@ func (k *Kernel) runBurst(coreID int, b *burst) {
 	k.coreThread[coreID] = b.t
 	b.res = cpu.Result{}
 	for _, it := range b.items {
-		var r cpu.Result
-		if it.trace != nil {
-			var executed bool
-			r, executed = k.execTrace(core, it.trace)
-			if it.observe && b.t.Proc.observer != nil {
-				// The SDE-style observer sees executed samples only: under
-				// sampling, every profile quantity is a per-instruction
-				// fraction, so observing the detailed windows preserves it
-				// while modeled requests skip the observation cost. The
-				// observed/modeled split lets profilers rescale per-request
-				// absolutes (instructions, working-set touches).
-				if executed {
-					b.t.Proc.ObservedBodies++
-					b.t.Proc.observer(it.trace.Stream)
-				} else {
-					b.t.Proc.ModeledBodies++
-				}
+		r, executed := k.execTrace(core, it.trace)
+		if it.observe && b.t.Proc.observer != nil {
+			// The SDE-style observer sees executed samples only: under
+			// sampling, every profile quantity is a per-instruction
+			// fraction, so observing the detailed windows preserves it
+			// while modeled requests skip the observation cost. The
+			// observed/modeled split lets profilers rescale per-request
+			// absolutes (instructions, working-set touches).
+			if executed {
+				b.t.Proc.ObservedBodies++
+				b.t.Proc.observer(it.trace.Stream)
+			} else {
+				b.t.Proc.ModeledBodies++
 			}
-		} else {
-			r = core.Execute(it.stream)
 		}
 		b.res.Cycles += r.Cycles
 		b.res.Counters.Add(r.Counters)
@@ -553,22 +545,12 @@ func (t *Thread) compute(items []burstItem) cpu.Result {
 	return b.res
 }
 
-// Run executes a user-level instruction stream (application body work). The
-// process's instruction observer — the SDE analog — sees exactly this
-// stream.
-func (t *Thread) Run(stream []isa.Instr) cpu.Result {
-	if t.Proc.observer != nil {
-		t.Proc.observer(stream)
-	}
-	t.itemBuf[0] = burstItem{stream: stream}
-	return t.compute(t.itemBuf[:1])
-}
-
-// RunTrace executes a pre-decoded user-level stream — the cached-request
-// hot path. The observer sees the trace's source stream, exactly as Run
-// would report it, but only for requests that actually execute: modeled
-// requests under sampled steady state skip observation, keeping profiled
-// instruction fractions tied to executed samples.
+// RunTrace executes a decoded user-level stream (application body work),
+// the thread's one way to run user code. The process's instruction observer
+// — the SDE analog — sees the trace's source stream, but only for requests
+// that actually execute: modeled requests under sampled steady state skip
+// observation, keeping profiled instruction fractions tied to executed
+// samples. A ClassNone trace always executes, so the observer always sees it.
 func (t *Thread) RunTrace(tr *cpu.Trace) cpu.Result {
 	t.itemBuf[0] = burstItem{trace: tr, observe: true}
 	return t.compute(t.itemBuf[:1])

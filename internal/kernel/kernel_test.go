@@ -31,13 +31,14 @@ func testMachine(eng *sim.Engine, name string, n int) *Kernel {
 	})
 }
 
-func aluStream(n int) []isa.Instr {
+// aluTrace decodes n independent adds over eight rotating registers.
+func aluTrace(n int) *cpu.Trace {
 	s := make([]isa.Instr, n)
 	for i := range s {
 		s[i] = isa.Instr{Op: isa.ADDrr, PC: 0x400000 + uint64(i%16)*4,
 			Dst: isa.Reg(i % 8), Src1: isa.Reg(i % 8), Src2: isa.Reg((i + 1) % 8), BranchID: -1}
 	}
-	return s
+	return cpu.NewTrace(s)
 }
 
 func TestThreadRunAndCounters(t *testing.T) {
@@ -46,7 +47,7 @@ func TestThreadRunAndCounters(t *testing.T) {
 	p := k.NewProc("app")
 	var ipc float64
 	p.Spawn("w", func(th *Thread) {
-		res := th.Run(aluStream(10000))
+		res := th.RunTrace(aluTrace(10000))
 		ipc = res.Counters.IPC()
 	})
 	eng.Run()
@@ -75,12 +76,74 @@ func TestInstrObserverSeesUserOnly(t *testing.T) {
 		}
 	})
 	p.Spawn("w", func(th *Thread) {
-		th.Run(aluStream(500))
+		th.RunTrace(aluTrace(500))
 		th.Sleep(sim.Microsecond) // kernel stream, not observed
 	})
 	eng.Run()
 	if observed != 500 {
 		t.Fatalf("observed %d instrs, want 500", observed)
+	}
+}
+
+// modelAll is a stub sampler that models every eligible trace with a
+// fixed-cycle result carrying no counters, so everything a process is
+// charged comes from traces that really executed.
+type modelAll struct {
+	t        *testing.T
+	next     int
+	observed int
+}
+
+func (s *modelAll) Next(tr *cpu.Trace) (cpu.Result, bool) {
+	if tr.Class == cpu.ClassNone {
+		s.t.Errorf("ClassNone trace of %d instrs reached the sampler", tr.Len())
+	}
+	s.next++
+	return cpu.Result{Cycles: 100}, true
+}
+
+func (s *modelAll) Observe(*cpu.Trace, cpu.Result) { s.observed++ }
+
+func TestSamplerModelsOnlyEligibleTraces(t *testing.T) {
+	eng := sim.NewEngine()
+	k := testMachine(eng, "m", 1)
+	s := &modelAll{t: t}
+	k.SetSampler(s)
+	k.CreateFile("data", 1<<20)
+	p := k.NewProc("app")
+	var seen int
+	p.ObserveInstrs(func(st []isa.Instr) {
+		seen += len(st)
+		for _, in := range st {
+			if in.Kernel {
+				t.Error("observer must only see user instructions")
+			}
+		}
+	})
+	body := aluTrace(300)
+	body.Class = cpu.ClassBody
+	p.Spawn("w", func(th *Thread) {
+		th.RunTrace(body)          // eligible: modeled
+		th.RunTrace(aluTrace(500)) // ClassNone: executed
+		fd := th.Open("data")
+		th.Pread(fd, 4096, 0)     // payload-copy tail
+		th.WriteFile(fd, 4096, 0) // payload-copy tail
+	})
+	eng.Run()
+	if p.ModeledBodies != 1 || p.ObservedBodies != 1 {
+		t.Fatalf("modeled/observed bodies = %d/%d, want 1/1", p.ModeledBodies, p.ObservedBodies)
+	}
+	if seen != 500 {
+		t.Fatalf("observer saw %d instrs, want the 500 of the executed body only", seen)
+	}
+	if s.next == 0 || s.observed != 0 {
+		t.Fatalf("sampler Next/Observe calls = %d/%d, want >0/0", s.next, s.observed)
+	}
+	// The ad-hoc body and the two single-instruction payload-copy tails
+	// executed; every syscall and context-switch stream was modeled.
+	if p.Counters.Instrs != 502 || p.Counters.KernelInstrs != 2 {
+		t.Fatalf("executed instrs = %d (kernel %d), want 502 (kernel 2)",
+			p.Counters.Instrs, p.Counters.KernelInstrs)
 	}
 }
 
@@ -90,7 +153,7 @@ func TestSchedulerParallelism(t *testing.T) {
 		k := testMachine(eng, "m", cores)
 		p := k.NewProc("app")
 		for i := 0; i < 4; i++ {
-			p.Spawn("w", func(th *Thread) { th.Run(aluStream(40000)) })
+			p.Spawn("w", func(th *Thread) { th.RunTrace(aluTrace(40000)) })
 		}
 		eng.Run()
 		return eng.Now()
@@ -109,13 +172,13 @@ func TestContextSwitchAccounting(t *testing.T) {
 	var ta, tb *Thread
 	ta = p.Spawn("a", func(th *Thread) {
 		for i := 0; i < 5; i++ {
-			th.Run(aluStream(1000))
+			th.RunTrace(aluTrace(1000))
 			th.Yield()
 		}
 	})
 	tb = p.Spawn("b", func(th *Thread) {
 		for i := 0; i < 5; i++ {
-			th.Run(aluStream(1000))
+			th.RunTrace(aluTrace(1000))
 			th.Yield()
 		}
 	})
@@ -359,7 +422,7 @@ func TestEpollMultiplexing(t *testing.T) {
 				case r.Conn != nil:
 					msg, ok := th.TryRecv(r.Conn)
 					if ok {
-						th.Run(aluStream(200))
+						th.RunTrace(aluTrace(200))
 						th.Send(r.Conn, msg.Bytes, nil)
 						served++
 					}
@@ -426,7 +489,7 @@ func TestCloneAndThreadEvents(t *testing.T) {
 	p := k.NewProc("app")
 	p.Spawn("parent", func(th *Thread) {
 		for i := 0; i < 3; i++ {
-			th.Clone("child", func(c *Thread) { c.Run(aluStream(100)) })
+			th.Clone("child", func(c *Thread) { c.RunTrace(aluTrace(100)) })
 		}
 	})
 	eng.Run()
@@ -503,7 +566,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			p.Spawn("w", func(th *Thread) {
 				for j := 0; j < 10; j++ {
-					th.Run(aluStream(2000))
+					th.RunTrace(aluTrace(2000))
 					th.Sleep(10 * sim.Microsecond)
 				}
 			})

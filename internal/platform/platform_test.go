@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"ditto/internal/cpu"
 	"ditto/internal/isa"
 	"ditto/internal/kernel"
 	"ditto/internal/sim"
@@ -33,13 +34,14 @@ func TestTable1Specs(t *testing.T) {
 	}
 }
 
-func aluStream(n int) []isa.Instr {
+// aluTrace decodes n independent adds over eight rotating registers.
+func aluTrace(n int) *cpu.Trace {
 	s := make([]isa.Instr, n)
 	for i := range s {
 		s[i] = isa.Instr{Op: isa.ADDrr, PC: 0x400000 + uint64(i%16)*4,
 			Dst: isa.Reg(i % 8), Src1: isa.Reg(i % 8), Src2: isa.Reg((i + 1) % 8), BranchID: -1}
 	}
-	return s
+	return cpu.NewTrace(s)
 }
 
 func TestMachineBuildAndRun(t *testing.T) {
@@ -49,7 +51,7 @@ func TestMachineBuildAndRun(t *testing.T) {
 		t.Fatalf("cores = %d", len(m.Cores))
 	}
 	p := m.Kernel.NewProc("app")
-	p.Spawn("w", func(th *kernel.Thread) { th.Run(aluStream(10000)) })
+	p.Spawn("w", func(th *kernel.Thread) { th.RunTrace(aluTrace(10000)) })
 	eng.Run()
 	if p.Counters.Instrs != 10000 {
 		t.Fatalf("instrs = %d", p.Counters.Instrs)
@@ -61,7 +63,7 @@ func TestFrequencyScalingChangesWallTime(t *testing.T) {
 		eng := sim.NewEngine()
 		m := NewMachine(eng, "m", A(), WithCoreCount(2), WithFreqGHz(f))
 		p := m.Kernel.NewProc("app")
-		p.Spawn("w", func(th *kernel.Thread) { th.Run(aluStream(50000)) })
+		p.Spawn("w", func(th *kernel.Thread) { th.RunTrace(aluTrace(50000)) })
 		eng.Run()
 		return eng.Now()
 	}
@@ -81,7 +83,7 @@ func TestSMTFactorOption(t *testing.T) {
 		eng := sim.NewEngine()
 		m := NewMachine(eng, "m", A(), append(opts, WithCoreCount(1))...)
 		p := m.Kernel.NewProc("app")
-		p.Spawn("w", func(th *kernel.Thread) { th.Run(aluStream(50000)) })
+		p.Spawn("w", func(th *kernel.Thread) { th.RunTrace(aluTrace(50000)) })
 		eng.Run()
 		return eng.Now()
 	}
@@ -105,7 +107,7 @@ func TestPrivateCacheScaleHurts(t *testing.T) {
 					Dst: isa.Reg(i % 8), Src1: isa.R10,
 					Addr: 0x1000000 + (uint64(i)*64)%(24<<10), BranchID: -1}
 			}
-			th.Run(s)
+			th.RunTrace(cpu.NewTrace(s))
 		})
 		eng.Run()
 		return p.Counters.L1dMissRate()
@@ -152,7 +154,7 @@ func TestClusterEndToEndRPC(t *testing.T) {
 		l := th.Listen(80)
 		c := th.Accept(l)
 		th.Recv(c)
-		th.Run(aluStream(5000))
+		th.RunTrace(aluTrace(5000))
 		th.Send(c, 4096, nil)
 	})
 	cp.Spawn("cli", func(th *kernel.Thread) {
@@ -183,7 +185,7 @@ func TestMemBWDemandInflatesLatency(t *testing.T) {
 					Dst: isa.R11, Src1: isa.R11,
 					Addr: 0x1000000 + uint64(i*8192)%(64<<20), BranchID: -1}
 			}
-			th.Run(s)
+			th.RunTrace(cpu.NewTrace(s))
 		})
 		eng.Run()
 		return eng.Now()

@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"fmt"
-
 	"ditto/internal/app"
 	"ditto/internal/core"
 	"ditto/internal/kernel"
@@ -34,7 +32,7 @@ func NewServer(m *platform.Machine, port int, spec *core.SynthSpec, seed int64) 
 		offRng:  stats.NewRand(seed ^ 0x0FF5E7),
 		reps:    map[int]*sysReplayer{},
 	}
-	s.Base = app.NewBaseFor(spec.Name, m, port, seed)
+	s.Base = app.NewBase(spec.Name, m, port, seed)
 	return s
 }
 
@@ -86,36 +84,7 @@ func (s *Server) Start() {
 			})
 		})
 	case sk.Workers > 1:
-		// Dispatcher + fixed worker pool over per-worker epoll sets.
-		epolls := make([]*kernel.Epoll, sk.Workers)
-		for w := range epolls {
-			epolls[w] = s.M.Kernel.NewEpoll()
-		}
-		s.P.Spawn("dispatcher", func(th *kernel.Thread) {
-			l := th.Listen(s.ListenPort)
-			next := 0
-			for {
-				conn := th.Accept(l)
-				th.EpollAdd(epolls[next%sk.Workers], conn)
-				next++
-			}
-		})
-		for w := 0; w < sk.Workers; w++ {
-			w := w
-			s.P.Spawn(fmt.Sprintf("worker-%d", w), func(th *kernel.Thread) {
-				for {
-					for _, r := range th.EpollWait(epolls[w]) {
-						for r.Conn != nil && r.Conn.Pending() > 0 {
-							msg, ok := th.TryRecv(r.Conn)
-							if !ok {
-								break
-							}
-							s.handle(th, w, r.Conn, msg)
-						}
-					}
-				}
-			})
-		}
+		app.WorkerPool(s.P, s.ListenPort, sk.Workers, s.handle)
 	default:
 		s.P.Spawn("eventloop", func(th *kernel.Thread) {
 			l := th.Listen(s.ListenPort)
