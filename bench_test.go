@@ -10,41 +10,12 @@
 package ditto_test
 
 import (
-	"io"
 	"os"
 	"testing"
 
 	"ditto/internal/experiments"
 	"ditto/internal/sim"
 )
-
-// BenchmarkEngineScheduleFire is the engine hot-path baseline: one After
-// plus the Step that fires it. Events live by value in the engine's heap, so
-// the steady state is allocation-free.
-func BenchmarkEngineScheduleFire(b *testing.B) {
-	eng := sim.NewEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.After(sim.Microsecond, func() {})
-		eng.Step()
-	}
-}
-
-// BenchmarkFigureCell runs one end-to-end evaluation cell (fig8, NGINX only,
-// quick windows): clone prep plus two measured cells through the plan
-// runner. This is the unit of work the parallel scheduler distributes.
-func BenchmarkFigureCell(b *testing.B) {
-	opt := benchOptions()
-	opt.TuneIters = 0
-	opt.IncludeSocial = false
-	opt.Quiet = true
-	opt.Apps = []string{"nginx"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.RunFig8(io.Discard, opt)
-	}
-}
 
 // benchOptions sizes the runs for the benchmark harness: windows long
 // enough for stable percentiles (hundreds to thousands of requests per

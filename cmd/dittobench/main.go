@@ -8,7 +8,10 @@
 //	dittobench -run fig5 [-parallel 8] [-intra-parallel 4] [-tune 4] [-ms 160] [-seed 1] [-apps redis,nginx]
 //	dittobench -run 'fig11/c4/.*'          # regex over cell names
 //	dittobench -run all -progress
-//	dittobench -bench-json BENCH_PR2.json  # perf baseline mode
+//
+// Performance is measured elsewhere: per-cell timings are `go test -bench`
+// benchmarks beside their subjects, and perfbench/ is the end-to-end
+// harness.
 package main
 
 import (
@@ -40,8 +43,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "small windows, no tuning (smoke run)")
 		sampled  = flag.Bool("sampled", false,
 			"sampled steady-state execution: once per-tier convergence is detected, a seeded rotating subset of requests still executes while the rest are modeled from the measured distribution (warmup, fault windows, and durability paths always execute fully)")
-		benchJSON = flag.String("bench-json", "",
-			"write engine and cell benchmarks plus a parallel speedup measurement as JSON to this file, then exit")
 	)
 	flag.Parse()
 
@@ -78,14 +79,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-40s %8.2fs%s%s\n",
 				done, total, r.Name, r.Elapsed.Seconds(), status, errs)
 		}
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "dittobench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	w := os.Stdout

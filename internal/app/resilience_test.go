@@ -109,6 +109,20 @@ func TestResilienceHotPathAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkBreakerAllowRecord times the breaker's no-fault hot path: one
+// admission plus one successful outcome per op, at advancing times.
+func BenchmarkBreakerAllowRecord(b *testing.B) {
+	br := NewBreaker(5, 10*sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := sim.Time(i) * sim.Microsecond
+		if br.Allow(now) {
+			br.OnResult(now, true)
+		}
+	}
+}
+
 // defaultTestPolicy is a tight policy for sub-second test runs.
 func defaultTestPolicy() Resilience {
 	return Resilience{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"ditto/internal/app"
+	"ditto/internal/dtrace"
 	"ditto/internal/loadgen"
 	"ditto/internal/platform"
 	"ditto/internal/stats"
@@ -64,6 +65,10 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 	e2e := Result{Throughput: float64(g.Received()) / dur}
 	setLatency(&e2e, g.Latency())
 	perTier := map[string]Result{}
+	var spans []dtrace.Span
+	if d.Collector != nil {
+		spans = d.Collector.Spans()
+	}
 	for _, tn := range tiers {
 		p := d.TierProc(tn)
 		if p == nil {
@@ -74,7 +79,7 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 		// window's spans — the per-tier rows of Fig. 5 and Fig. 7.
 		if d.Collector != nil {
 			var lat stats.Recorder
-			for _, sp := range d.Collector.Spans() {
+			for _, sp := range spans {
 				// Synthetic tiers record spans under "<service>-synth".
 				if (sp.Service == tn || sp.Service == tn+"-synth") && sp.Start >= start {
 					lat.Add(sp.Duration().Millis())

@@ -81,9 +81,9 @@ type Kernel struct {
 	// tier's connections would keep queueing inbound messages forever —
 	// the same class of stale shared state as a dead process's listener.
 	sides []*connSide
-	// deliveries recycles in-flight message-delivery events (see Send): a
-	// steady request/response exchange reuses the same few objects instead
-	// of allocating one closure plus one header per message.
+	// deliveries recycles same-shard message-delivery events (see Send): a
+	// steady loopback request/response exchange reuses the same few objects
+	// instead of allocating one closure plus one header per message.
 	deliveries []*delivery
 
 	// Observation (the SystemTap surface).

@@ -176,7 +176,7 @@ func (t *Thread) TryAccept(l *Listener) *Endpoint {
 
 // Send transmits a message. The caller pays the TCP transmit path (scaled
 // by size) and returns once the data is handed to the NIC; delivery is
-// asynchronous via a pooled delivery event.
+// asynchronous via a delivery event (pooled for same-shard sends).
 func (t *Thread) Send(e *Endpoint, bytes int, payload any) {
 	t.syscallEnter(SysSend, bytes, "socket")
 	t.Proc.NetTxBytes += uint64(bytes)
@@ -188,11 +188,12 @@ func (t *Thread) Send(e *Endpoint, bytes int, payload any) {
 }
 
 // delivery is one in-flight message handoff: the callback netsim invokes at
-// arrival time. Objects recycle through a kernel pool; the bound fn closure
-// is allocated once per object. A faulted-and-dropped send never fires its
-// callback, so that object simply stays out of the pool.
+// arrival time. Same-shard deliveries recycle through the sending kernel's
+// pool; the bound fn closure is allocated once per object. A
+// faulted-and-dropped send never fires its callback, so that object simply
+// stays out of the pool.
 type delivery struct {
-	k    *Kernel // pool owner (the kernel whose shard runs the delivery)
+	k    *Kernel // pool owner; nil for a cross-shard delivery, which is never pooled
 	side *connSide
 	msg  Msg
 	fn   func()
@@ -200,16 +201,15 @@ type delivery struct {
 
 // newDelivery takes a delivery object from the pool (or mints one) and arms
 // it with the destination and message. When the destination side lives on
-// another shard the object is minted fresh and owned by the destination
-// kernel: run() executes over there and returns it to that kernel's pool —
-// touching the sender's pool from the destination shard (or vice versa)
-// would be a cross-shard mutation.
+// another shard the object is minted fresh and belongs to no pool: run()
+// executes on the destination shard, where neither the sender's pool nor
+// the receiver's may take it back — the sender's would be a cross-shard
+// mutation, and the receiver's never lends to cross-shard sends, so it would
+// grow by one object per message received.
 func (k *Kernel) newDelivery(side *connSide, msg Msg) *delivery {
 	if side.k.eng != k.eng {
-		d := &delivery{k: side.k}
+		d := &delivery{side: side, msg: msg}
 		d.fn = d.run
-		d.side = side
-		d.msg = msg
 		return d
 	}
 	var d *delivery
@@ -226,14 +226,16 @@ func (k *Kernel) newDelivery(side *connSide, msg Msg) *delivery {
 }
 
 // run performs the delivery: queue the message, account received bytes, and
-// wake blocked receivers and epoll waiters. The object returns to the pool
-// first — the event is single-shot, so it is free for reuse the moment its
-// payload has been copied out.
+// wake blocked receivers and epoll waiters. A pooled object returns to its
+// pool first — the event is single-shot, so it is free for reuse the moment
+// its payload has been copied out.
 func (d *delivery) run() {
 	side, msg := d.side, d.msg
-	d.side = nil
-	d.msg = Msg{}
-	d.k.deliveries = append(d.k.deliveries, d)
+	if d.k != nil {
+		d.side = nil
+		d.msg = Msg{}
+		d.k.deliveries = append(d.k.deliveries, d)
+	}
 	if side.closed {
 		return
 	}

@@ -77,6 +77,64 @@ func TestCrossShardEchoDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
+// crossShardEchoPools runs n round trips over one connection between two
+// machines on separate shards and returns the size of each kernel's
+// delivery pool afterwards.
+func crossShardEchoPools(t *testing.T, n int) (server, client int) {
+	const rtt = 100 * sim.Microsecond
+	w := sim.NewWorld(rtt/2, 1)
+	srv := testMachine(w.NewShard(), "server", 1)
+	cli := testMachine(w.NewShard(), "client", 1)
+	fabric := fabricFunc(func(src, dst *Kernel) netsim.Path {
+		return netsim.Path{Src: src.Resources().NIC, Dst: dst.Resources().NIC, RTT: rtt}
+	})
+	srv.SetFabric(fabric)
+	cli.SetFabric(fabric)
+
+	srv.NewProc("srv").Spawn("echo", func(th *Thread) {
+		conn := th.Accept(th.Listen(80))
+		for {
+			msg, ok := th.RecvTimeout(conn, 5*sim.Millisecond)
+			if !ok {
+				return
+			}
+			th.Send(conn, msg.Bytes, msg.Payload)
+		}
+	})
+	done := 0
+	cli.NewProc("cli").Spawn("cli", func(th *Thread) {
+		conn := th.Connect(srv, 80)
+		for i := 0; i < n; i++ {
+			th.Send(conn, 64, i)
+			th.Recv(conn)
+			done++
+		}
+		th.CloseConn(conn)
+	})
+	w.RunUntil(sim.Time(n)*2*rtt + 20*sim.Millisecond)
+	srv.Stop()
+	cli.Stop()
+	w.Run()
+	if done != n {
+		t.Fatalf("echo completed %d of %d round trips", done, n)
+	}
+	return len(srv.deliveries), len(cli.deliveries)
+}
+
+// TestCrossShardDeliveriesNotRetained checks that cross-shard message
+// deliveries do not pile up in any kernel's pool: only same-shard sends
+// draw from a pool, so a pool that took cross-shard deliveries back would
+// hold one object per message ever received.
+func TestCrossShardDeliveriesNotRetained(t *testing.T) {
+	const bound = 4
+	s100, c100 := crossShardEchoPools(t, 100)
+	s1000, c1000 := crossShardEchoPools(t, 1000)
+	if s1000 > bound || c1000 > bound || s1000 != s100 || c1000 != c100 {
+		t.Fatalf("delivery pools (server, client) hold (%d, %d) after 100 round trips and (%d, %d) after 1000; want at most %d each, independent of n",
+			s100, c100, s1000, c1000, bound)
+	}
+}
+
 // TestCrossShardDeadAfterFIN checks that a close on one shard becomes
 // observable on the peer's shard exactly one one-way delay later, via the
 // FIN — never by reading remote state directly.

@@ -313,3 +313,16 @@ func TestEventOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkEngineScheduleFire is the engine hot-path baseline: one After
+// plus the Step that fires it. Events live by value in the engine's heap, so
+// the steady state is allocation-free.
+func BenchmarkEngineScheduleFire(b *testing.B) {
+	eng := NewEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.After(Microsecond, func() {})
+		eng.Step()
+	}
+}
