@@ -66,3 +66,37 @@ func BenchmarkWorkingSetSimMixed(b *testing.B) {
 	b.StopTimer()
 	w.Hits()
 }
+
+// BenchmarkWorkingSetSimRepSweeps measures the sweep on the shape of a
+// storage server's copy traffic: 8KB REP copies, each 128 consecutive lines
+// whose start advances 1–8 lines within a 16KB region, so consecutive
+// copies overlap heavily, plus about 10% plain accesses. Every line misses
+// the sizes up to 4KB, and MRU pruning drops almost none of them before
+// 64KB — the case that stack sharing, not pruning, makes cheaper.
+func BenchmarkWorkingSetSimRepSweeps(b *testing.B) {
+	const copyLines, region = 128, (16 << 10) / LineBytes
+	rng := rand.New(rand.NewSource(1))
+	trace := make([]uint64, 0, 1<<16+copyLines+32)
+	var start uint64
+	for len(trace) < 1<<16 {
+		start = (start + 1 + uint64(rng.Intn(8))) % (region - copyLines)
+		for l := uint64(0); l < copyLines; l++ {
+			trace = append(trace, repBase+(start+l)*LineBytes)
+		}
+		for n := rng.Intn(29); n > 0; n-- { // about 14 per copy: 10%
+			if rng.Intn(2) == 0 {
+				trace = append(trace, stackBase+uint64(rng.Intn(64))*8)
+			} else {
+				trace = append(trace, heapBase+uint64(rng.Intn(1<<14))*LineBytes)
+			}
+		}
+	}
+	trace = trace[:1<<16]
+	w := NewWorkingSetSim(64 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Access(trace[i&(len(trace)-1)])
+	}
+	b.StopTimer()
+	w.Hits()
+}

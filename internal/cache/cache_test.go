@@ -296,7 +296,7 @@ func TestWorkingSetSimAssocSwitch(t *testing.T) {
 		if lines := s / LineBytes; lines < want {
 			want = lines // tiny sizes clamp associativity to capacity
 		}
-		if got := w.caches[i].Config().Assoc; got != want {
+		if got := w.ways[i]; got != want {
 			t.Errorf("size %d: assoc = %d, want %d", s, got, want)
 		}
 	}

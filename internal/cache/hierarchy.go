@@ -116,21 +116,31 @@ func (h *Hierarchy) FlushPrivate() {
 // with Valgrind: H(2^i) in Eq. 1/Eq. 2. Sizes below 1MB use 8-way caches,
 // sizes at or above 1MB use 16-way, matching §4.4.4.
 //
+// Sizes with the same set count share one LRU stack (Mattson et al., 1970):
+// an MRU-ordered set of a ways holds exactly the lines an a'-way LRU set
+// holds in its first a' ways, for every a' ≤ a, so one simulation answers
+// every associativity at that set count. 64B–512B share the 1-set 8-way
+// stack, and 512KB (1024 sets × 8 ways) shares the 1024-set 16-way stack
+// with 1MB. A size with a ways counts the hits at stack positions below a.
+//
 // Accesses are batched: Access only records the line, and a full batch (or
-// Hits) sweeps it through the caches one size at a time, smallest first. A
-// line that is already the MRU way of its set at one size is dropped from
-// the batch there and counted as a hit at that size and every larger one.
-// That is exact: each step up the chain doubles the sets at equal ways or
-// the ways at equal sets, so with bit-selection indexing the lines mapping
-// to a larger cache's set are a subset of those mapping to the smaller
-// cache's set. The line last touched in the small set was therefore also
-// last touched in the large one, where it is already MRU and touching it
-// again changes nothing.
+// Hits) sweeps it through the stacks one at a time, fewest sets first. A
+// line that is already the MRU way of its set in one stack is dropped from
+// the batch there and counted as a hit at every size of that stack and
+// every later one. That is exact: each stack doubles the previous stack's
+// sets, so with bit-selection indexing the lines mapping to a larger
+// stack's set are a subset of those mapping to the smaller stack's set.
+// The line last touched in the small set was therefore also last touched
+// in the large one, where it is already MRU and touching it again changes
+// nothing.
 type WorkingSetSim struct {
-	sizes  []int
-	caches []*Cache
-	hits   []uint64
-	total  uint64
+	sizes []int
+	ways  []int    // per size: its associativity, a prefix of its stack
+	hits  []uint64 // per size
+	total uint64
+	lru   []*Cache   // one LRU stack per set count, sets ascending
+	ends  []int      // per stack: one past the index of the last size it answers
+	pos   [16]uint64 // scratch: one batch's hits by stack position
 
 	n     int             // lines pending in batch
 	batch [wsBatch]uint64 // line addresses not yet swept
@@ -146,25 +156,27 @@ func NewWorkingSetSim(maxBytes int) *WorkingSetSim {
 		maxBytes = LineBytes
 	}
 	w := &WorkingSetSim{}
+	sets := 0
 	for size := LineBytes; ; size *= 2 {
-		assoc := 8
+		ways := 8
 		if size >= 1<<20 {
-			assoc = 16
+			ways = 16
 		}
-		if size < assoc*LineBytes {
-			assoc = size / LineBytes
-			if assoc == 0 {
-				assoc = 1
-			}
+		if lines := size / LineBytes; lines < ways {
+			ways = lines
 		}
+		if s := size / (ways * LineBytes); s != sets {
+			sets = s
+			w.lru = append(w.lru, nil)
+			w.ends = append(w.ends, 0)
+		}
+		// The stack takes the geometry of the largest size it answers.
+		last := len(w.lru) - 1
+		w.lru[last] = New(Config{Name: "ws", Size: size, Assoc: ways, Policy: LRU})
 		w.sizes = append(w.sizes, size)
-		w.caches = append(w.caches, New(Config{
-			Name:   "ws",
-			Size:   size,
-			Assoc:  assoc,
-			Policy: LRU,
-		}))
+		w.ways = append(w.ways, ways)
 		w.hits = append(w.hits, 0)
+		w.ends[last] = len(w.sizes)
 		if size >= maxBytes {
 			break
 		}
@@ -184,33 +196,44 @@ func (w *WorkingSetSim) Access(addr uint64) {
 	}
 }
 
-// flush sweeps the pending batch through every size, smallest first,
+// flush sweeps the pending batch through every stack, fewest sets first,
 // pruning lines that hit the MRU way (see WorkingSetSim).
 //
 // ditto:noalloc
 func (w *WorkingSetSim) flush() {
 	lines := w.batch[:w.n]
 	var pruned uint64 // lines dropped so far: hits at every remaining size
-	for i, c := range w.caches {
-		kept, hits := c.sweepLRU(lines)
-		w.hits[i] += pruned + hits
+	i := 0
+	for s, c := range w.lru {
+		pos := w.pos[:c.cfg.Assoc]
+		clear(pos)
+		kept := c.sweepLRU(lines, pos)
+		for ; i < w.ends[s]; i++ {
+			h := pruned
+			for _, n := range pos[:w.ways[i]] {
+				h += n
+			}
+			w.hits[i] += h
+		}
 		pruned += uint64(len(lines) - kept)
 		lines = lines[:kept]
 	}
 	w.n = 0
 }
 
-// sweepLRU runs a batch of line addresses through c in order and counts the
-// hits. It compacts lines in place to the ones a larger working-set cache
-// still has to see, those that did not hit the MRU way, and returns how
-// many remain.
-// c must be a power-of-two LRU cache, as every working-set cache is.
+// sweepLRU runs a batch of line addresses through c in order and adds each
+// hit to pos at the stack position (way) it hit; len(pos) must be c's
+// associativity. It compacts lines in place to the ones a larger
+// working-set stack still has to see, those that did not hit the MRU way,
+// and returns how many remain.
+// c must be a power-of-two LRU cache, as every working-set stack is.
 //
 // ditto:noalloc
-func (c *Cache) sweepLRU(lines []uint64) (kept int, hits uint64) {
+func (c *Cache) sweepLRU(lines, pos []uint64) (kept int) {
 	tags, assoc := c.tags, c.cfg.Assoc
 	mask, bits := c.setMask, c.setBits
 	lastHigh, seg := c.lastHigh, c.lastSeg
+	pos = pos[:assoc]
 	for _, line := range lines {
 		if high := line >> segShift; high != lastHigh {
 			seg, lastHigh = c.segSlow(high), high
@@ -219,16 +242,17 @@ func (c *Cache) sweepLRU(lines []uint64) (kept int, hits uint64) {
 		tag := seg<<(segShift-bits) + uint32(low>>bits) + 1
 		base := int(low&mask) * assoc
 		w := lruPromote(tags[base:base+assoc], tag)
-		if w < assoc {
-			hits++
-		}
 		if w == 0 {
+			pos[0]++
 			continue
+		}
+		if w < len(pos) {
+			pos[w]++
 		}
 		lines[kept] = line
 		kept++
 	}
-	return kept, hits
+	return kept
 }
 
 // Sizes returns the simulated cache sizes in bytes, ascending.

@@ -108,29 +108,36 @@ func TestWorkingSetSimMatchesPerSizeCaches(t *testing.T) {
 	}
 }
 
-// MRU pruning is exact only if each step up the size chain doubles the
-// sets at equal ways or doubles the ways at equal sets (see WorkingSetSim);
-// a geometry change that breaks this must fail here rather than silently
-// skew Eq. 1.
+// MRU pruning is exact only if each stack doubles the previous stack's
+// sets (see WorkingSetSim), and stack sharing only if every size a stack
+// answers has its sets and at most its ways; a geometry change that breaks
+// either must fail here rather than silently skew Eq. 1.
 func TestWorkingSetSimGeometryNests(t *testing.T) {
 	for _, maxBytes := range []int{1, 4 << 10, 1 << 20, 2 << 20, 256 << 20} {
 		w := NewWorkingSetSim(maxBytes)
-		for i, c := range w.caches {
+		first := 0
+		for s, c := range w.lru {
 			cfg := c.Config()
 			if !c.pow2 || cfg.Policy != LRU {
-				t.Fatalf("max %d: size %d is not a power-of-two LRU cache", maxBytes, cfg.Size)
+				t.Fatalf("max %d: stack %d is not a power-of-two LRU cache", maxBytes, s)
 			}
-			if i == 0 {
-				continue
+			if s > 0 && c.Sets() != 2*w.lru[s-1].Sets() {
+				t.Errorf("max %d: stack %d has %d sets, want twice the previous stack's %d",
+					maxBytes, s, c.Sets(), w.lru[s-1].Sets())
 			}
-			prev := w.caches[i-1]
-			pa, a := prev.Config().Assoc, cfg.Assoc
-			moreSets := c.Sets() == 2*prev.Sets() && a == pa
-			moreWays := c.Sets() == prev.Sets() && a == 2*pa
-			if !moreSets && !moreWays {
-				t.Errorf("max %d: %d sets × %d ways → %d sets × %d ways neither doubles sets nor ways",
-					maxBytes, prev.Sets(), pa, c.Sets(), a)
+			if w.ends[s] <= first {
+				t.Fatalf("max %d: stack %d answers no size", maxBytes, s)
 			}
+			for i := first; i < w.ends[s]; i++ {
+				if sets := w.sizes[i] / (w.ways[i] * LineBytes); sets != c.Sets() || w.ways[i] > cfg.Assoc {
+					t.Errorf("max %d: size %d (%d sets × %d ways) is not a prefix of its %d × %d stack",
+						maxBytes, w.sizes[i], sets, w.ways[i], c.Sets(), cfg.Assoc)
+				}
+			}
+			first = w.ends[s]
+		}
+		if first != len(w.sizes) {
+			t.Errorf("max %d: stacks answer %d of %d sizes", maxBytes, first, len(w.sizes))
 		}
 	}
 }

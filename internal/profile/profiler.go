@@ -120,6 +120,7 @@ func (p *Profiler) Finish() *AppProfile {
 		b.RepBytesMean = float64(p.sde.repBytes) / float64(p.sde.repCount)
 	}
 	perReq := obsScale / float64(requests)
+	p.vg.drain()
 	for _, bin := range p.vg.deriveDWS() {
 		b.DWS = append(b.DWS, WSBin{Bytes: bin.Bytes, Count: bin.Count * perReq})
 	}

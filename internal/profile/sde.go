@@ -155,6 +155,8 @@ func (s *sdeState) mix() []MixEntry {
 func (s *sdeState) branchBins() ([]BranchBin, float64, int) {
 	weights := map[[2]int]float64{}
 	var branchExecs uint64
+	// ditto:determinism-ok reviewed: integer sums, and float sums of
+	// integer-valued counts far below 2^53, which are exact in any order.
 	for _, b := range s.branches {
 		if b.total == 0 {
 			continue
@@ -172,6 +174,7 @@ func (s *sdeState) branchBins() ([]BranchBin, float64, int) {
 		weights[[2]int{m, n}] += float64(b.total)
 	}
 	var bins []BranchBin
+	// ditto:determinism-ok reviewed: bins are collected, then sorted below.
 	for k, w := range weights {
 		bins = append(bins, BranchBin{M: k[0], N: k[1], Weight: w / float64(branchExecs)})
 	}

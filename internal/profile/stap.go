@@ -195,11 +195,11 @@ func (s *stapState) skeleton() SkeletonProfile {
 	perConn := s.ops[kernel.SysClone].count > 0 && shortLived+workers > 1
 
 	wakeTotal := 0
-	for _, n := range s.wakes {
+	for _, n := range s.wakes { // ditto:determinism-ok reviewed: integer sum
 		wakeTotal += n
 	}
 	sources := map[string]float64{}
-	for src, n := range s.wakes {
+	for src, n := range s.wakes { // ditto:determinism-ok reviewed: one independent entry per key
 		sources[src] = float64(n) / float64(max(wakeTotal, 1))
 	}
 	return SkeletonProfile{
@@ -230,10 +230,12 @@ func (s *stapState) syscallStats(requests int, files func(name string) int64) []
 			PerRequest: float64(a.count) / float64(requests),
 			MeanBytes:  float64(a.bytes) / float64(a.count),
 		}
-		// Dominant fd target.
+		// Dominant fd target; equal counts go to the smaller name.
 		var bestN uint64
+		// ditto:determinism-ok reviewed: the (count, name) order is total,
+		// so the winner does not depend on iteration order.
 		for f, n := range a.files {
-			if n > bestN {
+			if n > bestN || n == bestN && f < st.File {
 				bestN = n
 				st.File = f
 			}

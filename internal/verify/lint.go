@@ -35,6 +35,7 @@ var DeterministicPackages = []string{
 	"internal/loadgen",
 	"internal/mem",
 	"internal/netsim",
+	"internal/profile",
 	"internal/sim",
 	"internal/stats",
 	"internal/steady",
