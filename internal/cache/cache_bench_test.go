@@ -32,11 +32,11 @@ func BenchmarkHierarchyMiss(b *testing.B) {
 // BenchmarkWorkingSetSim measures the Valgrind-analog profiling cost per
 // access across the full power-of-two sweep.
 func BenchmarkWorkingSetSim(b *testing.B) {
-	w := NewWorkingSetSim(64 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Access(uint64(i*64) % (32 << 20))
+	trace := make([]uint64, 1<<16)
+	for i := range trace {
+		trace[i] = uint64(i*64) % (32 << 20)
 	}
+	benchWorkingSetSim(b, trace)
 }
 
 // BenchmarkWorkingSetSimMixed measures the sweep on a seeded profile-like
@@ -58,13 +58,7 @@ func BenchmarkWorkingSetSimMixed(b *testing.B) {
 			trace[i] = stackBase + uint64(rng.Intn(64))*8
 		}
 	}
-	w := NewWorkingSetSim(64 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Access(trace[i&(len(trace)-1)])
-	}
-	b.StopTimer()
-	w.Hits()
+	benchWorkingSetSim(b, trace)
 }
 
 // BenchmarkWorkingSetSimRepSweeps measures the sweep on the shape of a
@@ -92,11 +86,21 @@ func BenchmarkWorkingSetSimRepSweeps(b *testing.B) {
 		}
 	}
 	trace = trace[:1<<16]
+	benchWorkingSetSim(b, trace)
+}
+
+// benchWorkingSetSim sweeps b.N accesses of trace, cycled, through a 64MB
+// sim in 4096-line batches, the way one caller drives Split and SweepHalf.
+// len(trace) must be a multiple of the batch.
+func benchWorkingSetSim(b *testing.B, trace []uint64) {
 	w := NewWorkingSetSim(64 << 20)
+	lines := make([]uint64, 4096)
+	odd := make([]uint64, len(lines))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Access(trace[i&(len(trace)-1)])
+	for done := 0; done < b.N; {
+		pos := done % len(trace)
+		n := min(len(lines), b.N-done)
+		sweepAddrs(w, trace[pos:pos+n], lines, odd)
+		done += n
 	}
-	b.StopTimer()
-	w.Hits()
 }

@@ -260,9 +260,7 @@ func TestWorkingSetSim(t *testing.T) {
 	}
 	// Cyclic 1KB (16-line) pattern, 8 passes.
 	trace := seqTrace(16, 8)
-	for _, a := range trace {
-		w.Access(a)
-	}
+	sweepAddrs(w, trace, make([]uint64, len(trace)), make([]uint64, len(trace)))
 	if w.Total() != uint64(len(trace)) {
 		t.Fatalf("Total = %d", w.Total())
 	}
@@ -304,7 +302,10 @@ func TestWorkingSetSimAssocSwitch(t *testing.T) {
 
 func TestWorkingSetSimTiny(t *testing.T) {
 	w := NewWorkingSetSim(1) // clamps to one line
-	w.Access(0)
+	sweepAddrs(w, []uint64{0, 64, 0}, make([]uint64, 3), make([]uint64, 3))
+	if h := w.Hits(); h[0] != 0 || w.Total() != 3 {
+		t.Fatalf("hits = %v over %d lines, want [0] over 3", h, w.Total())
+	}
 	if len(w.Sizes()) != 1 || w.Sizes()[0] != 64 {
 		t.Fatalf("sizes = %v", w.Sizes())
 	}

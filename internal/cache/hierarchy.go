@@ -123,31 +123,47 @@ func (h *Hierarchy) FlushPrivate() {
 // stack, and 512KB (1024 sets × 8 ways) shares the 1024-set 16-way stack
 // with 1MB. A size with a ways counts the hits at stack positions below a.
 //
-// Accesses are batched: Access only records the line, and a full batch (or
-// Hits) sweeps it through the stacks one at a time, fewest sets first. A
-// line that is already the MRU way of its set in one stack is dropped from
-// the batch there and counted as a hit at every size of that stack and
-// every later one. That is exact: each stack doubles the previous stack's
-// sets, so with bit-selection indexing the lines mapping to a larger
-// stack's set are a subset of those mapping to the smaller stack's set.
-// The line last touched in the small set was therefore also last touched
-// in the large one, where it is already MRU and touching it again changes
-// nothing.
+// Two halves by line parity. Only the 1-set stack is kept whole. Every
+// stack of S ≥ 2 sets is simulated as two half stacks of S/2 sets and the
+// same ways: one sees the even lines and the other the odd lines, each as
+// line>>1. With bit-selection indexing two lines share a set at S sets iff
+// they have the same parity and line>>1 shares a set at S/2 sets, and the
+// tag above the set bits is the same, so each half stack holds exactly the
+// lines its parity keeps in the full stack, in the same order. A size's
+// hits are the two halves' counts added. The halves share no state, so
+// each may be swept by its own goroutine; the package itself starts none.
+//
+// Batches are swept one stack at a time, fewest sets first: Split runs the
+// whole 1-set stack and partitions what it leaves by parity, and SweepHalf
+// runs one half's stacks. A line that is already the MRU way of its set in
+// one stack is dropped from the batch there and counted as a hit at every
+// size of that stack and every later one. That is exact: each stack
+// doubles the previous stack's sets (in each half as in the whole), so with
+// bit-selection indexing the lines mapping to a larger stack's set are a
+// subset of those mapping to the smaller stack's set. The line last touched
+// in the small set was therefore also last touched in the large one, where
+// it is already MRU and touching it again changes nothing.
 type WorkingSetSim struct {
-	sizes []int
-	ways  []int    // per size: its associativity, a prefix of its stack
-	hits  []uint64 // per size
-	total uint64
-	lru   []*Cache   // one LRU stack per set count, sets ascending
-	ends  []int      // per stack: one past the index of the last size it answers
-	pos   [16]uint64 // scratch: one batch's hits by stack position
+	sizes  []int
+	ways   []int    // per size: its associativity, a prefix of its stack
+	hits   []uint64 // per size: what Hits last summed
+	total  uint64
+	pruned uint64 // lines the whole stack dropped: hits at every half size
 
-	n     int             // lines pending in batch
-	batch [wsBatch]uint64 // line addresses not yet swept
+	whole  *wsStacks    // the 1-set stack, sizes 64B–512B
+	halves [2]*wsStacks // even and odd lines, every larger size
 }
 
-// wsBatch is the number of accesses WorkingSetSim gathers per sweep.
-const wsBatch = 4096
+// wsStacks is a chain of LRU stacks swept fewest sets first, each doubling
+// the previous one's sets, with the hits it has counted for the sizes its
+// stacks answer.
+type wsStacks struct {
+	lru   []*Cache
+	first int      // index of the first size the chain answers
+	ends  []int    // per stack: one past the index of the last size it answers
+	ways  []int    // per size, shared with the WorkingSetSim
+	hits  []uint64 // per size; zero outside the chain's sizes
+}
 
 // NewWorkingSetSim builds simulators for sizes 64B, 128B, … up to maxBytes
 // (rounded up to a power of two).
@@ -156,7 +172,9 @@ func NewWorkingSetSim(maxBytes int) *WorkingSetSim {
 		maxBytes = LineBytes
 	}
 	w := &WorkingSetSim{}
-	sets := 0
+	// Per stack: its set count, its ways (those of the largest size it
+	// answers) and one past the index of the last size it answers.
+	var sets, assoc, ends []int
 	for size := LineBytes; ; size *= 2 {
 		ways := 8
 		if size >= 1<<20 {
@@ -165,60 +183,102 @@ func NewWorkingSetSim(maxBytes int) *WorkingSetSim {
 		if lines := size / LineBytes; lines < ways {
 			ways = lines
 		}
-		if s := size / (ways * LineBytes); s != sets {
-			sets = s
-			w.lru = append(w.lru, nil)
-			w.ends = append(w.ends, 0)
+		if s := size / (ways * LineBytes); len(sets) == 0 || s != sets[len(sets)-1] {
+			sets, assoc, ends = append(sets, s), append(assoc, 0), append(ends, 0)
 		}
-		// The stack takes the geometry of the largest size it answers.
-		last := len(w.lru) - 1
-		w.lru[last] = New(Config{Name: "ws", Size: size, Assoc: ways, Policy: LRU})
 		w.sizes = append(w.sizes, size)
 		w.ways = append(w.ways, ways)
-		w.hits = append(w.hits, 0)
-		w.ends[last] = len(w.sizes)
+		assoc[len(assoc)-1] = ways
+		ends[len(ends)-1] = len(w.sizes)
 		if size >= maxBytes {
 			break
 		}
 	}
+	w.hits = make([]uint64, len(w.sizes))
+	chain := func(first int, ends []int) *wsStacks {
+		return &wsStacks{first: first, ends: ends, ways: w.ways, hits: make([]uint64, len(w.sizes))}
+	}
+	w.whole = chain(0, ends[:1])
+	w.whole.lru = []*Cache{wsStack(sets[0], assoc[0])}
+	// Each half is built whole before the next, so the two sweepers'
+	// stacks do not interleave in memory.
+	for p := range w.halves {
+		h := chain(ends[0], ends[1:])
+		for s := 1; s < len(sets); s++ {
+			h.lru = append(h.lru, wsStack(sets[s]/2, assoc[s]))
+		}
+		w.halves[p] = h
+	}
 	return w
 }
 
-// Access records one byte address for every simulated size.
-//
-// ditto:noalloc
-func (w *WorkingSetSim) Access(addr uint64) {
-	w.batch[w.n] = addr / LineBytes
-	w.n++
-	w.total++
-	if w.n == len(w.batch) {
-		w.flush()
-	}
+// wsStack builds one LRU stack of the given sets and ways.
+func wsStack(sets, ways int) *Cache {
+	return New(Config{Name: "ws", Size: sets * ways * LineBytes, Assoc: ways, Policy: LRU})
 }
 
-// flush sweeps the pending batch through every stack, fewest sets first,
-// pruning lines that hit the MRU way (see WorkingSetSim).
+// Split sweeps a batch of line numbers (byte address / LineBytes), in
+// access order, through the whole 1-set stack and partitions the lines it
+// does not prune for the halves: the even ones, as line>>1, are compacted
+// in place at the front of lines and returned as even; the odd ones, as
+// line>>1, are written to the front of odd, which must hold len(lines), and
+// returned as odd. Each half must then be swept with its slice
+// (SweepHalf), batch by batch in Split's order, before Hits is read.
 //
 // ditto:noalloc
-func (w *WorkingSetSim) flush() {
-	lines := w.batch[:w.n]
-	var pruned uint64 // lines dropped so far: hits at every remaining size
-	i := 0
-	for s, c := range w.lru {
-		pos := w.pos[:c.cfg.Assoc]
-		clear(pos)
-		kept := c.sweepLRU(lines, pos)
-		for ; i < w.ends[s]; i++ {
+func (w *WorkingSetSim) Split(lines, odd []uint64) (evenHalf, oddHalf []uint64) {
+	w.total += uint64(len(lines))
+	rest := w.whole.sweep(lines)
+	w.pruned += uint64(len(lines) - len(rest))
+	ne, no := 0, 0
+	if len(w.halves[0].lru) > 0 {
+		for _, l := range rest {
+			if l&1 == 0 {
+				lines[ne] = l >> 1
+				ne++
+			} else {
+				odd[no] = l >> 1
+				no++
+			}
+		}
+	}
+	return lines[:ne], odd[:no]
+}
+
+// SweepHalf sweeps one half's share of a batch, as Split returned it,
+// through the half's stacks: p is 0 for the even half and 1 for the odd.
+// Split and the two halves touch disjoint state, so the even half may be
+// swept on Split's goroutine while another sweeps the odd one.
+//
+// ditto:noalloc
+func (w *WorkingSetSim) SweepHalf(p int, lines []uint64) {
+	w.halves[p].sweep(lines)
+}
+
+// sweep runs a batch through the chain's stacks, fewest sets first,
+// pruning lines that hit the MRU way (see WorkingSetSim), and returns the
+// lines its last stack did not prune, compacted in place.
+//
+// ditto:noalloc
+func (st *wsStacks) sweep(lines []uint64) []uint64 {
+	var pos [16]uint64 // one stack's hits by stack position
+	var pruned uint64  // lines dropped so far: hits at every remaining size
+	i := st.first
+	for s, c := range st.lru {
+		p := pos[:c.cfg.Assoc]
+		clear(p)
+		kept := c.sweepLRU(lines, p)
+		for ; i < st.ends[s]; i++ {
 			h := pruned
-			for _, n := range pos[:w.ways[i]] {
+			for _, n := range p[:st.ways[i]] {
 				h += n
 			}
-			w.hits[i] += h
+			st.hits[i] += h
 		}
 		pruned += uint64(len(lines) - kept)
 		lines = lines[:kept]
 	}
-	w.n = 0
+	return lines
 }
 
 // sweepLRU runs a batch of line addresses through c in order and adds each
@@ -258,12 +318,19 @@ func (c *Cache) sweepLRU(lines, pos []uint64) (kept int) {
 // Sizes returns the simulated cache sizes in bytes, ascending.
 func (w *WorkingSetSim) Sizes() []int { return w.sizes }
 
-// Hits returns hit counts parallel to Sizes, first sweeping any pending
-// accesses.
+// Hits returns hit counts parallel to Sizes over every batch swept so far:
+// the whole stack's counts, plus for each larger size the lines the whole
+// stack pruned and both halves' counts.
 func (w *WorkingSetSim) Hits() []uint64 {
-	w.flush()
+	for i := range w.hits {
+		h := w.whole.hits[i] + w.halves[0].hits[i] + w.halves[1].hits[i]
+		if i >= w.halves[0].first {
+			h += w.pruned
+		}
+		w.hits[i] = h
+	}
 	return w.hits
 }
 
-// Total returns the number of accesses observed.
+// Total returns the number of line accesses Split has been given.
 func (w *WorkingSetSim) Total() uint64 { return w.total }

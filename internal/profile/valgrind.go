@@ -11,20 +11,30 @@ import (
 // instruction line-fetch trace, then convert hit counts to per-working-set
 // access counts via Eq. 1 and Eq. 2.
 //
-// The simulation runs off the observing goroutine. observe only filters the
-// stream into a lineBatch; each full batch goes to one sweeper goroutine,
-// which feeds it to the two WorkingSetSims and returns the buffer through
-// free. The sweeper is the sims' only user until drain joins it, and the
-// batches reach it in observation order, so every sim sees exactly the
-// access sequence an inline call would have given it.
+// The simulation runs off the observing goroutine, on two sweepers in a
+// pipeline. observe only filters the stream into a lineBatch; each full
+// batch goes to sweeper A, which runs both sims' whole 1-set stacks and
+// splits what they leave by line parity (cache.WorkingSetSim.Split). A
+// hands the odd halves to sweeper B in a second batch, sweeps the even
+// halves itself and returns the batch through free; B sweeps the odd
+// halves and returns its batch through oddFree. Nothing joins the two per
+// batch. Each channel is a FIFO with one producer and one consumer, so
+// every stack sees its lines in observation order, and each half's stacks
+// have exactly one user: A owns the whole stacks and the even halves, B
+// the odd halves, until drain joins both. Scheduling decides when a batch
+// is swept, never what it contributes.
 type valgrindState struct {
 	dws *cache.WorkingSetSim
 	iws *cache.WorkingSetSim
 
-	cur  *lineBatch      // batch being filled by observe
-	full chan *lineBatch // filled batches, in observation order; nil once drained
-	free chan *lineBatch // swept batches, for reuse
-	done chan struct{}   // closed when the sweeper has swept every batch
+	cur     *lineBatch      // batch being filled by observe
+	full    chan *lineBatch // filled batches to A, in observation order; nil once drained
+	free    chan *lineBatch // batches A has swept, for reuse
+	odds    chan *lineBatch // odd halves from A to B, in observation order
+	oddFree chan *lineBatch // odd-half batches B has swept, for reuse
+	doneA   chan struct{}   // closed when A has swept every batch and closed odds
+	doneB   chan struct{}   // closed when B has swept every odd half
+	spare   *lineBatch      // odd halves of batches swept inline after drain
 
 	lastPCLine uint64
 	havePC     bool
@@ -32,101 +42,145 @@ type valgrindState struct {
 	instrs     uint64
 }
 
-// sweepBuffers is how many lineBatches one profiler cycles through: one
-// being filled, one being swept, one queued between them.
+// sweepBuffers is how many lineBatches each side of the pipeline cycles
+// through: one being filled, one being swept, one queued between them.
 const sweepBuffers = 3
 
 // lineBatch holds observed accesses not yet simulated: instruction-fetch
-// and data byte addresses, each in observation order.
+// and data line numbers (address / 64), each in observation order.
 type lineBatch struct {
 	instr, data [4096]uint64
 	ni, nd      int
 }
 
-// newValgrindState builds the two sims and starts the sweeper.
+// newValgrindState builds the two sims and starts both sweepers.
 func newValgrindState(maxData, maxInstr int) *valgrindState {
 	v := &valgrindState{
-		dws:  cache.NewWorkingSetSim(maxData),
-		iws:  cache.NewWorkingSetSim(maxInstr),
-		cur:  new(lineBatch),
-		full: make(chan *lineBatch, sweepBuffers), // ditto:determinism-ok reviewed: sweeper queue, see valgrindState
-		free: make(chan *lineBatch, sweepBuffers), // ditto:determinism-ok reviewed: buffer return path of the sweeper
-		done: make(chan struct{}),                 // ditto:determinism-ok reviewed: sweeper join signal
+		dws:     cache.NewWorkingSetSim(maxData),
+		iws:     cache.NewWorkingSetSim(maxInstr),
+		cur:     new(lineBatch),
+		full:    make(chan *lineBatch, sweepBuffers), // ditto:determinism-ok reviewed: sweeper A's queue, see valgrindState
+		free:    make(chan *lineBatch, sweepBuffers), // ditto:determinism-ok reviewed: buffer return path of sweeper A
+		odds:    make(chan *lineBatch, sweepBuffers), // ditto:determinism-ok reviewed: sweeper B's queue, see valgrindState
+		oddFree: make(chan *lineBatch, sweepBuffers), // ditto:determinism-ok reviewed: buffer return path of sweeper B
+		doneA:   make(chan struct{}),                 // ditto:determinism-ok reviewed: sweeper A join signal
+		doneB:   make(chan struct{}),                 // ditto:determinism-ok reviewed: sweeper B join signal
 	}
 	for i := 1; i < sweepBuffers; i++ {
-		v.free <- new(lineBatch) // ditto:determinism-ok reviewed: seeding the buffer pool before the sweeper starts
+		v.free <- new(lineBatch) // ditto:determinism-ok reviewed: seeding A's buffer pool before the sweepers start
 	}
-	// ditto:determinism-ok reviewed: the working-set sweeper. It alone
-	// touches dws/iws until drain joins it; it takes batches from one FIFO
-	// channel fed by one producer, so each sim sees the observed order, and
-	// the hit counts are read only after the join. Scheduling decides when
-	// a batch is swept, never what it contributes.
+	for i := 0; i < sweepBuffers; i++ {
+		v.oddFree <- new(lineBatch) // ditto:determinism-ok reviewed: seeding B's buffer pool before the sweepers start
+	}
+	// ditto:determinism-ok reviewed: sweeper A, see valgrindState. It
+	// alone touches the whole stacks and even halves until drain joins it.
 	go func(full <-chan *lineBatch, free chan<- *lineBatch, done chan<- struct{}) {
 		for b := range full { // ditto:determinism-ok reviewed: one consumer, FIFO order
-			v.sweep(b)
+			v.passOdd(b)
+			v.sweepHalf(0, b)
 			free <- b // ditto:determinism-ok reviewed: return the emptied buffer
 		}
+		close(v.odds)
 		close(done)
-	}(v.full, v.free, v.done)
+	}(v.full, v.free, v.doneA)
+	// ditto:determinism-ok reviewed: sweeper B, see valgrindState. It
+	// alone touches the odd halves until drain joins it.
+	go func(odds <-chan *lineBatch, oddFree chan<- *lineBatch, done chan<- struct{}) {
+		for o := range odds { // ditto:determinism-ok reviewed: one consumer, FIFO order
+			v.sweepHalf(1, o)
+			oddFree <- o // ditto:determinism-ok reviewed: return the emptied buffer
+		}
+		close(done)
+	}(v.odds, v.oddFree, v.doneB)
 	return v
 }
 
-// sweep feeds a batch to the sims and empties it.
+// split sweeps batch b through both sims' whole stacks, leaving the even
+// halves in b and writing the odd halves to o.
 //
 // ditto:noalloc
-func (v *valgrindState) sweep(b *lineBatch) {
-	for _, a := range b.instr[:b.ni] {
-		v.iws.Access(a)
-	}
-	for _, a := range b.data[:b.nd] {
-		v.dws.Access(a)
-	}
+func (v *valgrindState) split(b, o *lineBatch) {
+	even, odd := v.iws.Split(b.instr[:b.ni], o.instr[:])
+	b.ni, o.ni = len(even), len(odd)
+	even, odd = v.dws.Split(b.data[:b.nd], o.data[:])
+	b.nd, o.nd = len(even), len(odd)
+}
+
+// passOdd is sweeper A's hand-off to B: it splits b into a free odd-half
+// batch and queues that batch for B.
+//
+// ditto:noalloc
+func (v *valgrindState) passOdd(b *lineBatch) {
+	o := <-v.oddFree // ditto:determinism-ok reviewed: buffer reuse; any free odd batch is empty
+	v.split(b, o)
+	v.odds <- o // ditto:determinism-ok reviewed: FIFO handoff to sweeper B, see valgrindState
+}
+
+// sweepHalf sweeps a split batch through half p of both sims and empties
+// it.
+//
+// ditto:noalloc
+func (v *valgrindState) sweepHalf(p int, b *lineBatch) {
+	v.iws.SweepHalf(p, b.instr[:b.ni])
+	v.dws.SweepHalf(p, b.data[:b.nd])
 	b.ni, b.nd = 0, 0
 }
 
-// handoff passes the full current batch to the sweeper and takes a free
-// one. After drain there is no sweeper and the batch is swept inline, so
+// sweepInline sweeps a batch through both sims on the calling goroutine,
+// once the sweepers are joined.
+//
+// ditto:noalloc
+func (v *valgrindState) sweepInline(b *lineBatch) {
+	v.split(b, v.spare)
+	v.sweepHalf(0, b)
+	v.sweepHalf(1, v.spare)
+}
+
+// handoff passes the full current batch to sweeper A and takes a free
+// one. After drain there are no sweepers and the batch is swept inline, so
 // late observations keep counting without a goroutine.
 //
 // ditto:noalloc
 func (v *valgrindState) handoff() {
 	if v.full == nil {
-		v.sweep(v.cur)
+		v.sweepInline(v.cur)
 		return
 	}
-	v.full <- v.cur  // ditto:determinism-ok reviewed: FIFO handoff to the sweeper, see valgrindState
+	v.full <- v.cur  // ditto:determinism-ok reviewed: FIFO handoff to sweeper A, see valgrindState
 	v.cur = <-v.free // ditto:determinism-ok reviewed: buffer reuse; any free batch is empty
 }
 
-// drain joins the sweeper (once) and sweeps what observe has gathered
+// drain joins both sweepers (once) and sweeps what observe has gathered
 // since, after which dws and iws are safe to read. It may be called again:
 // each call sweeps the accesses observed since the last one.
 func (v *valgrindState) drain() {
 	if v.full != nil {
 		close(v.full)
-		<-v.done // ditto:determinism-ok reviewed: join the sweeper before reading its sims
+		<-v.doneA             // ditto:determinism-ok reviewed: join sweeper A, which closes B's queue last
+		<-v.doneB             // ditto:determinism-ok reviewed: join sweeper B before reading the sims
+		v.spare = <-v.oddFree // ditto:determinism-ok reviewed: B has returned every odd batch; keep one
 		v.full = nil
 	}
-	v.sweep(v.cur)
+	v.sweepInline(v.cur)
 }
 
-// fetch records one instruction-fetch address.
+// fetch records one instruction-fetch line.
 //
 // ditto:noalloc
-func (v *valgrindState) fetch(pc uint64) {
+func (v *valgrindState) fetch(line uint64) {
 	b := v.cur
-	b.instr[b.ni] = pc
+	b.instr[b.ni] = line
 	if b.ni++; b.ni == len(b.instr) {
 		v.handoff()
 	}
 }
 
-// access records one data address.
+// access records one data line.
 //
 // ditto:noalloc
-func (v *valgrindState) access(addr uint64) {
+func (v *valgrindState) access(line uint64) {
 	b := v.cur
-	b.data[b.nd] = addr
+	b.data[b.nd] = line
 	if b.nd++; b.nd == len(b.data) {
 		v.handoff()
 	}
@@ -141,22 +195,23 @@ func (v *valgrindState) observe(stream []isa.Instr) {
 		v.instrs++
 		line := in.PC / isa.LineBytes
 		if !v.havePC || line != v.lastPCLine {
-			v.fetch(in.PC)
+			v.fetch(line)
 			v.iFetches++
 			v.lastPCLine = line
 			v.havePC = true
 		}
 		f := &isa.Table[in.Op]
 		if (f.Load || f.Store) && !f.Rep {
-			v.access(in.Addr)
+			v.access(in.Addr / isa.LineBytes)
 		} else if f.Rep {
 			// A REP op sweeps its whole range, one line at a time.
 			n := int(in.RepCount)
 			if n < 1 {
 				n = 1
 			}
+			first := in.Addr / isa.LineBytes
 			for l := 0; l < (n+isa.LineBytes-1)/isa.LineBytes; l++ {
-				v.access(in.Addr + uint64(l*isa.LineBytes))
+				v.access(first + uint64(l))
 			}
 		}
 	}
