@@ -218,12 +218,20 @@ func (c *Core) SetSMTFactor(f float64) {
 
 // ContextSwitch models the micro-architectural cost of switching to a
 // different thread: private cache pollution and predictor perturbation.
+// Each distinct private cache is flushed once: a unified L2 sits in both
+// hierarchies, and clearing it a second time would change nothing.
 func (c *Core) ContextSwitch() {
-	if c.cfg.ICache != nil {
-		c.cfg.ICache.FlushPrivate()
+	i, d := c.cfg.ICache, c.cfg.DCache
+	if i != nil {
+		i.FlushPrivate()
 	}
-	if c.cfg.DCache != nil {
-		c.cfg.DCache.FlushPrivate()
+	if d == nil {
+		return
+	}
+	for lvl, pc := range d.Caches[:2] {
+		if pc != nil && (i == nil || i.Caches[lvl] != pc) {
+			pc.Flush()
+		}
 	}
 }
 

@@ -349,6 +349,31 @@ func TestContextSwitchPollutesCaches(t *testing.T) {
 	}
 }
 
+// testCore's L2 sits in both hierarchies; a context switch must still leave
+// L1i, L1d and that shared L2 empty, and keep the L3.
+func TestContextSwitchEmptiesPrivateCaches(t *testing.T) {
+	c := testCore()
+	const pc, addr = 0x400000, 0x50000000
+	execute(c, []isa.Instr{{Op: isa.MOVload, PC: pc, Dst: isa.R3, Src1: isa.R10, Addr: addr, BranchID: -1}})
+	i, d := c.cfg.ICache.Caches, c.cfg.DCache.Caches
+	if !i[0].Contains(pc) || !d[0].Contains(addr) || !i[1].Contains(addr) {
+		t.Fatal("warm-up did not fill L1i, L1d and L2")
+	}
+	c.ContextSwitch()
+	for _, probe := range []struct {
+		name string
+		c    *cache.Cache
+		addr uint64
+	}{{"l1i", i[0], pc}, {"l1d", d[0], addr}, {"l2 (instr line)", i[1], pc}, {"l2 (data line)", d[1], addr}} {
+		if probe.c.Contains(probe.addr) {
+			t.Errorf("%s still holds %#x after a context switch", probe.name, probe.addr)
+		}
+	}
+	if !i[2].Contains(pc) || !d[2].Contains(addr) {
+		t.Error("context switch flushed the shared L3")
+	}
+}
+
 func TestHaswellSlowerThanSkylake(t *testing.T) {
 	mk := func(a Arch) *Core {
 		l1i := cache.New(cache.Config{Name: "l1i", Size: 32 << 10, Assoc: 8, Latency: 4, Policy: cache.LRU})

@@ -127,15 +127,17 @@ type SNClone struct {
 // generates the synthetic specs (§4.2: topology from traces; per-tier
 // skeleton and body from the tier profilers), then shuts d down. root names
 // the entry tier. The profiling run is one uninterrupted window of
-// win.Warmup+win.Measure.
+// win.Warmup+win.Measure. The per-tier reductions (Profiler.Finish and
+// core.Generate) share no mutable state, so they run across tiers on the
+// host's width (see cloneWidth), each into its own slot.
 func clone(d *Deployment, root string, load Load, win Windows, seed int64) *SNClone {
-	profilers := map[string]*profile.Profiler{}
-	for _, name := range d.Order {
+	profilers := make([]*profile.Profiler, len(d.Order))
+	for i, name := range d.Order {
 		p := profile.NewProfiler(name)
 		p.MaxDataWS = 64 << 20
 		p.MaxInstrWS = 256 << 10
 		p.Attach(d.TierProc(name))
-		profilers[name] = p
+		profilers[i] = p
 	}
 	d.startLoad(load)
 	d.Env.RunFor(win.Warmup + win.Measure)
@@ -154,14 +156,19 @@ func clone(d *Deployment, root string, load Load, win Windows, seed int64) *SNCl
 		Order:    append([]string(nil), d.Order...),
 		Root:     root,
 	}
-	for i, name := range c.Order {
-		p := profilers[name]
-		if n := spanCount[name]; n > 0 {
+	profs := make([]*profile.AppProfile, len(c.Order))
+	specs := make([]*core.SynthSpec, len(c.Order))
+	sim.ForEach(len(c.Order), cloneWidth(), func(i int) {
+		p := profilers[i]
+		if n := spanCount[c.Order[i]]; n > 0 {
 			p.SetRequests(n)
 		}
-		prof := p.Finish()
-		c.Profiles[name] = prof
-		c.Specs[name] = core.Generate(prof, seed+int64(i)*31)
+		profs[i] = p.Finish()
+		specs[i] = core.Generate(profs[i], seed+int64(i)*31)
+	})
+	for i, name := range c.Order {
+		c.Profiles[name] = profs[i]
+		c.Specs[name] = specs[i]
 		if plans[name] == nil {
 			plans[name] = &core.TierPlan{Service: name, Calls: map[int][]app.Call{}}
 		}

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"ditto/internal/app"
 	"ditto/internal/core"
@@ -51,6 +52,13 @@ func NewEnvW(intra int, spec platform.Spec, serverOpts ...platform.Option) *Env 
 	e.Cluster.Add(e.Client)
 	return e
 }
+
+// cloneWidth is the shard-worker count of the environments the cloning
+// phase builds for itself: profiling runs, fine-tuning measurements and the
+// multi-tier clone runs. They use every core the host grants, since results
+// are byte-identical at any width and the World clamps the width to its
+// shard count (so a one-CPU host keeps the sequential path).
+func cloneWidth() int { return runtime.GOMAXPROCS(0) }
 
 // AddMachine attaches another server machine to the environment (multi-node
 // microservice deployments).
@@ -314,7 +322,7 @@ func ProfileRunSampled(build AppBuilder, load Load, win Windows, maxDataWS int) 
 // detailed windows that execute after arming preserve every profiled rate
 // while the modeled stretch skips work the profile has already seen.
 func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled bool) *profile.AppProfile {
-	env := NewEnvW(1, platform.A(), platform.WithCoreCount(8))
+	env := NewEnvW(cloneWidth(), platform.A(), platform.WithCoreCount(8))
 	if sampled {
 		env.EnableSampling(load.Seed)
 	}
@@ -336,7 +344,7 @@ func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled
 func SynthRunner(load Load, win Windows) core.Runner {
 	return func(spec *core.SynthSpec) profile.TargetMetrics {
 		build := func(m *platform.Machine) app.App { return synth.NewServer(m, 9100, spec, load.Seed+99) }
-		return measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)}, build, load, win, 1, false).Metrics
+		return measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)}, build, load, win, cloneWidth(), false).Metrics
 	}
 }
 

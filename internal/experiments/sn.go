@@ -95,9 +95,9 @@ func MeasureSN(d *SNEnv, load Load, win Windows, tiers []string) (Result, map[st
 
 // CloneSN profiles every tier of a running original Social Network under
 // load and generates the synthetic specs (see clone). The profiling run
-// uses one shard worker.
+// uses the host's width (see cloneWidth).
 func CloneSN(spec platform.Spec, nodes, coresPer int, load Load, win Windows, seed int64) *SNClone {
-	return clone(NewOriginalSN(spec, nodes, coresPer, seed, 1), app.FrontendName, load, win, seed)
+	return clone(NewOriginalSN(spec, nodes, coresPer, seed, cloneWidth()), app.FrontendName, load, win, seed)
 }
 
 // NewSynthSN deploys a fully synthetic Social Network from a clone: every

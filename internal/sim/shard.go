@@ -27,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -183,42 +184,93 @@ func (w *World) minNext() (Time, bool) {
 }
 
 // runWindow advances every shard to the exclusive bound, spreading shards
-// over up to width workers. The WaitGroup barrier plus the atomic work
-// counter give the driver a happens-before edge over everything each shard
-// did, so the following merge reads staged lanes race-free.
+// over up to width workers (see ForEach, whose join gives the driver a
+// happens-before edge over everything each shard did, so the following
+// merge reads staged lanes race-free).
+//
+// A window in which at most one shard has an event before bound runs
+// inline on the driver: a shard with nothing before the bound cannot gain
+// anything inside the window (cross-shard sends are staged until the
+// merge), so its runWindow would be a no-op and spawning workers for it
+// buys nothing.
 func (w *World) runWindow(bound Time) {
-	n := len(w.shards)
-	k := w.width
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
+	if w.width <= 1 || w.activeBefore(bound) <= 1 {
 		for _, s := range w.shards {
 			s.runWindow(bound)
 		}
 		return
 	}
+	// Shards share no mutable state inside a window: cross events go through
+	// the mutex-guarded lanes.
+	ForEach(len(w.shards), w.width, func(j int) { w.shards[j].runWindow(bound) })
+}
+
+// ForEach calls fn(i) for every i in [0, n) on up to width workers, each
+// claiming the next index off an atomic counter, and returns once every
+// call has returned. At width ≤ 1 (or n ≤ 1) it runs inline. It is the
+// simulator's one claim-loop pool, for work items that share no mutable
+// state: the World's shard windows and the clone phase's per-tier
+// reductions. A panic in any call is re-raised on the caller's goroutine,
+// with the worker's stack, once all workers have stopped — so a caller can
+// recover it exactly as at width 1.
+func ForEach(n, width int, fn func(i int)) {
+	if width > n {
+		width = n
+	}
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	var next int64 = -1
 	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
+	var mu sync.Mutex
+	var fault any
+	for k := 0; k < width; k++ {
 		wg.Add(1)
-		// ditto:determinism-ok reviewed: conservative-window workers. Shards
-		// share no mutable state inside a window (cross events go through the
-		// mutex-guarded lanes), each shard is claimed by exactly one worker
-		// via the atomic counter, and wg.Wait joins all of them before the
-		// barrier merge — scheduling order cannot leak into results.
+		// ditto:determinism-ok reviewed: claim-loop workers. Each index is
+		// claimed by exactly one worker via the atomic counter, callers pass
+		// items that share no mutable state, and wg.Wait joins every worker
+		// before ForEach returns — scheduling order cannot leak into results.
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if fault == nil {
+						fault = fmt.Sprintf("%v\n%s", r, debug.Stack())
+					}
+					mu.Unlock()
+				}
+			}()
 			for {
-				j := int(atomic.AddInt64(&next, 1))
-				if j >= n {
+				i := int(atomic.AddInt64(&next, 1))
+				if i >= n {
 					return
 				}
-				w.shards[j].runWindow(bound)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
+}
+
+// activeBefore counts the shards with a pending event before bound,
+// stopping at two: the caller only tells "at most one" from "several".
+func (w *World) activeBefore(bound Time) int {
+	active := 0
+	for _, s := range w.shards {
+		if at, has := s.nextAt(); has && at < bound {
+			if active++; active > 1 {
+				break
+			}
+		}
+	}
+	return active
 }
 
 // stage appends a cross-shard event to the destination's inbox lane for this

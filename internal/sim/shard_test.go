@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,33 @@ func TestWorldRunUntilAlignsClocks(t *testing.T) {
 	}
 }
 
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	b := make([]byte, 64)
+	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
+}
+
+// A window in which only one shard has work runs on the driver goroutine;
+// a window with two active shards spreads them over workers.
+func TestWorldSingleActiveWindowRunsInline(t *testing.T) {
+	w := NewWorld(50*Microsecond, 2)
+	a := w.NewShard()
+	b := w.NewShard()
+	var alone, shared string
+	a.Schedule(10*Microsecond, func() { alone = goid() })
+	a.Schedule(Millisecond, func() { shared = goid() })
+	b.Schedule(Millisecond, func() {})
+	driver := goid()
+	w.Run()
+	if alone != driver {
+		t.Fatalf("single-active window ran on goroutine %s, not the driver %s", alone, driver)
+	}
+	if shared == driver {
+		t.Fatalf("two-active window ran on the driver goroutine %s", driver)
+	}
+}
+
 func TestWorldLookaheadViolationPanics(t *testing.T) {
 	w := NewWorld(50*Microsecond, 2)
 	a := w.NewShard()
@@ -178,4 +206,32 @@ func TestWorldMergeOrder(t *testing.T) {
 			t.Fatalf("width %d fired\n %s\nwant\n %s", width, s, want)
 		}
 	}
+}
+
+func TestForEachVisitsEveryIndexOnce(t *testing.T) {
+	for _, width := range []int{1, 2, 8} {
+		hits := make([]int, 5)
+		ForEach(len(hits), width, func(i int) { hits[i]++ })
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("width %d: index %d ran %d times", width, i, h)
+			}
+		}
+	}
+}
+
+// A worker's panic surfaces on the caller, where it can be recovered, as it
+// would at width 1.
+func TestForEachReraisesWorkerPanic(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "boom at 3") {
+			t.Fatalf("recovered %v, want the worker's panic", r)
+		}
+	}()
+	ForEach(4, 2, func(i int) {
+		if i == 3 {
+			panic(fmt.Sprintf("boom at %d", i))
+		}
+	})
 }
